@@ -13,6 +13,7 @@ from .lattice_propagator import (
     PropagatorKernel,
     BoundReport,
     regulator_chi,
+    scale_range_kernel,
     covariance_cumulative,
     covariance_band,
     difference_kernel,
@@ -34,7 +35,6 @@ from .feynman_graphs import (
     FeynmanGraph,
     Counterterms,
     enumerate_connected,
-    graph_value,
     integrated_value,
     counterterms,
     renormalized_chain_value,
@@ -54,7 +54,6 @@ from .power_counting import (
 )
 from .effective_potential import (
     PotentialFunctional,
-    WickMonomial,
     RemainderBound,
     wick_power,
     bare_potential,

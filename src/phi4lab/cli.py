@@ -97,16 +97,17 @@ def _build_spec(dim, gamma, mass, box, cutoff) -> LatticeSpec:
         sys.exit(EXIT_CONFIG)
 
 
-def _write_manifest(out: Path, command: str, spec: LatticeSpec, params: dict):
+def _write_manifest(out: Path, command: str, spec: LatticeSpec | None, params: dict):
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "params": params,
-        "spec": {"d": spec.d, "L": spec.L, "m": spec.m,
-                 "gamma": spec.gamma, "N": spec.N, "hash": spec.canonical_hash()},
         "versions": {"phi4lab": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
     }
+    if spec is not None:
+        manifest["spec"] = {"d": spec.d, "L": spec.L, "m": spec.m,
+                            "gamma": spec.gamma, "N": spec.N, "hash": spec.canonical_hash()}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -231,7 +232,7 @@ def graphs(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, c
 def powercount(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, check):
     """Divergence catalog and scale-sum verdicts for cluster topologies."""
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    _write_manifest(out, "powercount", None, {"dim": dim})
     entries = divergence_scan(dim)
     _dump_json(out, "catalog", entries)
     chain = rho(2, 0, 2, 3)
@@ -241,11 +242,6 @@ def powercount(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fm
         "single_node_limit": verdict.limit,
         "single_node_finite": verdict.finite_sums,
     })
-    (out / "manifest.json").write_text(json.dumps({
-        "command": "powercount", "params": {"dim": dim},
-        "versions": {"phi4lab": __version__, "numpy": np.__version__,
-                     "python": platform.python_version()},
-    }, indent=2, sort_keys=True))
     click.echo(json.dumps(entries, indent=2))
     if check:
         if not (chain[0] == 0.0 and chain[1] == 0.5):
@@ -299,6 +295,7 @@ def stability(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt
     """Estimate log(Z(f)/Z(0)), compare with the series inside the envelope."""
     spec = _build_spec(dim, gamma, mass, box, cutoff)
     out = Path(out)
+    samples = max(samples, 1000)
     _write_manifest(out, "stability", spec,
                     {"lambda": lam, "order": order, "seed": seed, "samples": samples})
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
@@ -306,7 +303,7 @@ def stability(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt
     method = "exact-quadrature" if spec.n_sites <= QUADRATURE_MODE_CAP else "MC"
     try:
         cfg = ExperimentConfig(spec=spec, lam=lam, f=f, j=order, method=method,
-                               seed=seed, n_samples=max(samples, 1000))
+                               seed=seed, n_samples=samples)
         report = estimate_Z(cfg)
         kappa = nongaussianity(cfg) if method == "exact-quadrature" else None
     except InfeasibleSizeError as exc:

@@ -1,4 +1,4 @@
-"""Potential functionals, Wick monomials, the truncated cumulant recursion
+"""Potential functionals, Wick powers, the truncated cumulant recursion
 and the per-scale remainder bound.
 
 A potential is stored as a finite sum of monomial terms: for each pair
@@ -32,7 +32,6 @@ from .feynman_graphs import Counterterms, counterterms, logZ_series
 
 __all__ = [
     "PotentialFunctional",
-    "WickMonomial",
     "RemainderBound",
     "wick_power",
     "wick_quartic_potential",
@@ -183,17 +182,6 @@ class PotentialFunctional:
                 for key, ker in self.terms.items()}
 
 
-@dataclass
-class WickMonomial:
-    """Normal-ordered field power: degree and the variance used for ordering."""
-
-    degree: int
-    variance: float
-
-    def coefficients(self) -> dict:
-        return wick_power(self.degree, self.variance)
-
-
 def wick_power(k: int, c: float) -> dict:
     """Expansion of the Wick power :phi^k:_c into ordinary powers.
 
@@ -249,10 +237,7 @@ def bare_potential(spec: LatticeSpec, f=None, cts: Counterterms | None = None,
             if c != 0.0 and order <= jmax:
                 V.add_term(order, 0, -w * n * c)
     if f is not None:
-        f_arr = np.asarray(f, dtype=float).ravel()
-        if np.any(np.abs(f_arr) > 1 + 1e-12):
-            raise ValueError("external field must satisfy |f| <= 1")
-        V.add_term(0, 1, -w * f_arr)
+        V.add_term(0, 1, -w * spec.source(f))
     return V
 
 
@@ -308,8 +293,7 @@ class RelevantSplit:
     coefficients: dict
 
 
-def relevant_split(V: PotentialFunctional, lam: float,
-                   kernel_cum_N=None) -> RelevantSplit:
+def relevant_split(V: PotentialFunctional, lam: float) -> RelevantSplit:
     """Split a potential into relevant local block, d=3 pair block and remainder.
 
     The local block collects the exactly diagonal quartic/quadratic parts, the
@@ -336,7 +320,7 @@ def relevant_split(V: PotentialFunctional, lam: float,
     rel2 = PotentialFunctional(spec, h)
     if spec.d == 3 and h < spec.N:
         ch = covariance_cumulative(spec, h) if h >= 1 else None
-        cn = kernel_cum_N if kernel_cum_N is not None else covariance_cumulative(spec, spec.N)
+        cn = covariance_cumulative(spec, spec.N)
         if ch is not None:
             W = 24.0 * (ch.matrix() ** 3 - cn.matrix() ** 3) * spec.a ** (2 * spec.d)
             T = -2.0 * W

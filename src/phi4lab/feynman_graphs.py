@@ -36,10 +36,8 @@ __all__ = [
     "GraphElement",
     "FeynmanGraph",
     "Counterterms",
-    "SchwingerKernelTable",
     "enumerate_connected",
     "enumerate_matchings",
-    "graph_value",
     "integrated_value",
     "counterterms",
     "renormalized_chain_value",
@@ -202,36 +200,6 @@ def _canonical_lines(lines, kinds):
     return best
 
 
-def graph_value(G: FeynmanGraph, kernel: PropagatorKernel, f, positions,
-                lam: float, mu: float = 0.0, nu: float = 0.0) -> float:
-    """Value of one labeled graph at fixed vertex positions.
-
-    (-1)^(n+p+r) lambda^n mu^p (prod of f at external positions) / (n! p! r!)
-    times the product of kernel values over the matched lines.  The trivial
-    vacuum graph returns nu.
-    """
-    if len(G.elements) == 1 and G.elements[0].kind == "vacuum":
-        return nu
-    if len(positions) != len(G.elements):
-        raise ValueError("one position per vertex is required")
-    spec = kernel.spec
-    f = np.zeros(spec.n_sites) if f is None else np.asarray(f).ravel()
-    if np.any(np.abs(f) > 1.0 + 1e-12):
-        raise ValueError("external field must satisfy |f| <= 1")
-    n, p, r = G.n, G.p, G.r
-    value = (-1.0) ** (n + p + r) * lam ** n * mu ** p
-    value /= math.factorial(n) * math.factorial(p) * math.factorial(r)
-    flat = [int(np.ravel_multi_index(pos, spec.shape)) if not np.isscalar(pos) else int(pos)
-            for pos in positions]
-    M = kernel.matrix()
-    for u, v in G.lines():
-        value *= M[flat[u], flat[v]]
-    for v, e in enumerate(G.elements):
-        if e.kind == "external":
-            value *= f[flat[v]]
-    return float(value)
-
-
 def _einsum_sum(lines, element_kinds, M, f, n_sites):
     """Sum of prod-of-lines (and f factors) over all vertex position assignments."""
     letters = "abcdefghijklmnopqrstuvwxyz"
@@ -264,19 +232,16 @@ def _einsum_sum(lines, element_kinds, M, f, n_sites):
 
 
 def integrated_value(G: FeynmanGraph, kernel: PropagatorKernel, f,
-                     lam: float, mu: float = 0.0, nu: float = 0.0,
-                     override_guard: bool = False) -> float:
+                     lam: float, mu: float = 0.0, nu: float = 0.0) -> float:
     """Graph value summed over all vertex positions with weight a^d per vertex."""
-    if len(G.elements) == 1 and G.elements[0].kind == "vacuum":
-        spec = kernel.spec
-        return nu * spec.n_sites * spec.a ** spec.d
     spec = kernel.spec
+    if len(G.elements) == 1 and G.elements[0].kind == "vacuum":
+        return nu * spec.n_sites * spec.a ** spec.d
     internal = G.n + G.p
-    if internal > MAX_INTERNAL_VERTICES and not override_guard:
-        raise ValueError(f"refusing {internal} internal vertices without override")
-    f_arr = np.zeros(spec.n_sites) if f is None else np.asarray(f, dtype=float).ravel()
-    if np.any(np.abs(f_arr) > 1.0 + 1e-12):
-        raise ValueError("external field must satisfy |f| <= 1")
+    if internal > MAX_INTERNAL_VERTICES:
+        raise ValueError(f"refusing {internal} internal vertices "
+                         f"(at most {MAX_INTERNAL_VERTICES})")
+    f_arr = spec.source(f)
     n, p, r = G.n, G.p, G.r
     pref = (-1.0) ** (n + p + r) * lam ** n * mu ** p
     pref /= math.factorial(n) * math.factorial(p) * math.factorial(r)
@@ -304,12 +269,8 @@ def _poly_shift(a, k, jmax):
     return out
 
 
-def _family_poly(n, p, r, kernel, f_arr, mu_poly, jmax, keep_external=False):
-    """Sum over connected (n,p,r) matchings of integrated values, as lambda polys.
-
-    With keep_external=True the external positions are left free and the
-    result is a polynomial of kernels on r-tuples instead of scalars.
-    """
+def _family_poly(n, p, r, kernel, f_arr, mu_poly, jmax):
+    """Sum over connected (n,p,r) matchings of integrated values, as a lambda poly."""
     spec = kernel.spec
     graphs = enumerate_connected(n, p, r)
     if not graphs:
@@ -325,39 +286,11 @@ def _family_poly(n, p, r, kernel, f_arr, mu_poly, jmax, keep_external=False):
     if not base.any():
         return None
     weight = spec.a ** (spec.d * (n + p + r))
-    if keep_external:
-        total = None
-        for g, raw_lines, count in aggregate_topologies(graphs):
-            part = _einsum_external(raw_lines, tuple(e.kind for e in g.elements),
-                                    M, spec.n_sites, r) * count
-            total = part if total is None else total + part
-        weight = spec.a ** (spec.d * (n + p))  # no measure weight on the open legs
-        return [c * weight * total for c in base]
     S = 0.0
     for g, raw_lines, count in aggregate_topologies(graphs):
         S += count * _einsum_sum(raw_lines, tuple(e.kind for e in g.elements),
                                  M, f_arr, spec.n_sites)
     return base * (S * weight)
-
-
-def _einsum_external(lines, kinds, M, n_sites, r):
-    """Position sum with the external vertex indices left free."""
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    operands, subs = [], []
-    c0 = None
-    for u, v in lines:
-        if u == v:
-            if c0 is None:
-                c0 = np.full(n_sites, M[0, 0])
-            operands.append(c0)
-            subs.append(letters[u])
-        else:
-            operands.append(M)
-            subs.append(letters[u] + letters[v])
-    ext = [v for v, kind in enumerate(kinds) if kind == "external"]
-    out = "".join(letters[v] for v in ext)
-    expr = ",".join(subs) + "->" + out
-    return np.einsum(expr, *operands, optimize=True)
 
 
 # --- counterterms ------------------------------------------------------------
@@ -446,19 +379,19 @@ def _convolve(spec: LatticeSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(np.fft.fftn(A) * np.fft.fftn(B)).real * spec.a ** spec.d
 
 
-def renormalized_chain_value(kernel_cum_N: PropagatorKernel, alpha, beta,
-                             outer_kernel: PropagatorKernel | None = None,
+def renormalized_chain_value(kernel: PropagatorKernel, alpha, beta,
                              subtract: bool = True) -> float:
     """Subtracted second-order chain sum_{x,eta} C_ax C_xeta^3 (C_eta b - C_x b).
 
-    Only meaningful in d=3 where the unsubtracted chain diverges with the
-    cutoff; d=2 input is rejected because no subtraction is needed there.
+    ``kernel`` is the cutoff covariance C^(<=N).  Only meaningful in d=3 where
+    the unsubtracted chain diverges with the cutoff; d=2 input is rejected
+    because no subtraction is needed there.
     """
-    spec = kernel_cum_N.spec
+    spec = kernel.spec
     if spec.d != 3:
         raise ValueError("renormalized chain subtraction applies only in d=3")
-    Co = (outer_kernel or kernel_cum_N).values
-    C3 = kernel_cum_N.values ** 3
+    Co = kernel.values
+    C3 = Co ** 3
     chain = _convolve(spec, Co, _convolve(spec, C3, Co))
     t = tuple((b - a_) % spec.n_side for a_, b in zip(alpha, beta))
     if not subtract:
@@ -508,22 +441,12 @@ def monomial_sites(monomials) -> list:
 # --- series ------------------------------------------------------------------
 
 @dataclass
-class SchwingerKernelTable:
-    """Kernel of the 2n-point Schwinger function at a fixed order in lambda."""
-
-    order: int
-    legs: int
-    values: np.ndarray = field(repr=False)
-
-
-@dataclass
 class SeriesResult:
     """Coefficient table of (1/|Lambda|) log Z through a fixed order."""
 
     spec: LatticeSpec
     j: int
     coefficients: np.ndarray
-    schwinger: list
 
     def total(self, lam: float) -> float:
         return float(sum(c * lam ** k for k, c in enumerate(self.coefficients)))
@@ -532,8 +455,7 @@ class SeriesResult:
 def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
                 kernel: PropagatorKernel | None = None,
                 cts: Counterterms | None = None,
-                r_max: int = 4, with_schwinger: bool = False,
-                override_guard: bool = False) -> SeriesResult:
+                r_max: int = 4) -> SeriesResult:
     """Renormalized series for (1/|Lambda|) log Z_N(f) through order j in lambda.
 
     All connected graphs over coupling, mass and external elements are summed
@@ -548,16 +470,12 @@ def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
     kernel = covariance_cumulative(spec, spec.N) if kernel is None else kernel
     if cts is None:
         cts = counterterms(spec, lam, nu_order=j if j > 0 else 0)
-    f_arr = np.zeros(spec.n_sites) if f is None else np.asarray(f, dtype=float).ravel()
-    if np.any(np.abs(f_arr) > 1.0 + 1e-12):
-        raise ValueError("external field must satisfy |f| <= 1")
+    f_arr = spec.source(f)
     vol = spec.n_sites * spec.a ** spec.d
     coeffs = np.zeros(j + 1)
     have_f = bool(np.any(f_arr))
     for n in range(0, j + 1):
         for p in range(0, j + 1 - n):
-            if n + p > MAX_INTERNAL_VERTICES and not override_guard:
-                raise ValueError("cost guard: too many internal vertices; pass override_guard=True")
             r_top = r_max if (have_f or n + p == 0) else 0
             for r in range(0, r_top + 1):
                 if n + p + r == 0 or (4 * n + 2 * p + r) % 2:
@@ -569,25 +487,4 @@ def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
     npoly = cts.nu_poly if cts.nu_poly is not None else np.zeros(1)
     for k in range(min(len(npoly), j + 1)):
         coeffs[k] -= npoly[k]
-    tables = []
-    if with_schwinger:
-        for legs in (2, 4):
-            if legs > r_max:
-                continue
-            acc = None
-            for n in range(0, j + 1):
-                for p in range(0, j + 1 - n):
-                    if (4 * n + 2 * p + legs) % 2 or (n + p + legs) == 0:
-                        continue
-                    part = _family_poly(n, p, legs, kernel, f_arr, cts.mu_poly,
-                                        j, keep_external=True)
-                    if part is None:
-                        continue
-                    acc = part if acc is None else [a + b for a, b in zip(acc, part)]
-            if acc is not None:
-                for order, arr in enumerate(acc):
-                    if np.any(arr):
-                        shaped = np.asarray(arr).reshape((spec.n_sites,) * legs)
-                        tables.append(SchwingerKernelTable(order=order, legs=legs,
-                                                           values=shaped))
-    return SeriesResult(spec=spec, j=j, coefficients=coeffs, schwinger=tables)
+    return SeriesResult(spec=spec, j=j, coefficients=coeffs)

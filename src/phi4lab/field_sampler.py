@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice_propagator import (
-    LatticeSpec,
-    covariance_band,
-    _weights_band,
-)
+from .lattice_propagator import LatticeSpec, _range_weights
 
 __all__ = [
     "FieldLayer",
@@ -70,7 +66,7 @@ def sample_layer(spec: LatticeSpec, h: int, seed: int) -> FieldLayer:
     ss = np.random.SeedSequence(entropy=entropy, spawn_key=(h,))
     rng = np.random.default_rng(ss)
     noise = rng.standard_normal(spec.shape)
-    w = _weights_band(spec, h)
+    w = _range_weights(spec, h - 1, h)
     filtered = np.fft.ifftn(np.sqrt(w) * np.fft.fftn(noise)).real
     return FieldLayer(spec=spec, h=h, seed=int(seed), values=filtered * spec.a ** (-spec.d / 2.0))
 
@@ -244,7 +240,8 @@ class RegionClassification:
     chi_B: int
 
     def __post_init__(self):
-        assert self.chi_B == (1 if not self.R else 0)
+        if self.chi_B != (0 if self.R else 1):
+            raise ValueError(f"chi_B={self.chi_B} contradicts {len(self.R)} bad cubes")
 
 
 def classify_regions(fld: MultiscaleField, h: int, B: float,

@@ -12,6 +12,14 @@ identity
                          - 1/(p^2 + gamma^(2h) m^2) ]
 
 holds to rounding, band by band.
+
+Every kernel here is the mode sum over one scale range (lo, hi], open at lo
+and closed at hi:
+
+    C^(lo, hi](p) = 1/(p^2 + gamma^(2 lo) m^2) - 1/(p^2 + gamma^(2 hi) m^2)
+
+The cumulative covariance C^(<=h) is the range (0, h], the band C^(h) is
+(h-1, h] and the difference propagator C^(<=N) - C^(<=h) is (h, N].
 """
 
 from __future__ import annotations
@@ -28,10 +36,11 @@ __all__ = [
     "PropagatorKernel",
     "BoundReport",
     "regulator_chi",
+    "scale_range_kernel",
     "covariance_cumulative",
     "covariance_band",
+    "difference_kernel",
     "bound_report",
-    "export_csv",
     "cache_store",
     "cache_load",
 ]
@@ -95,6 +104,20 @@ class LatticeSpec:
         grids = np.meshgrid(*([p1] * self.d), indexing="ij")
         return sum(g * g for g in grids)
 
+    def source(self, f=None) -> np.ndarray:
+        """A source as a flat float array over the sites (zeros for None).
+
+        Rejects a source whose length is not n_sites or that breaks |f| <= 1.
+        """
+        if f is None:
+            return np.zeros(self.n_sites)
+        arr = np.asarray(f, dtype=float).ravel()
+        if arr.size != self.n_sites:
+            raise ValueError(f"source has {arr.size} entries, expected {self.n_sites}")
+        if np.any(np.abs(arr) > 1.0 + 1e-12):
+            raise ValueError("external field must satisfy |f| <= 1")
+        return arr
+
     def canonical_hash(self) -> str:
         """Stable hash of the defining fields, used for caches and manifests."""
         payload = json.dumps(
@@ -110,30 +133,23 @@ def regulator_chi(p_sq, spec: LatticeSpec):
     return spec.m ** 2 * (spec.gamma ** (2 * spec.N) - 1.0) / (np.asarray(p_sq) + g2n)
 
 
-def _weights_cumulative(spec: LatticeSpec, h: int) -> np.ndarray:
+def _range_weights(spec: LatticeSpec, lo: int, hi: int) -> np.ndarray:
+    """Mode weights 1/(p^2 + gamma^(2 lo) m^2) - 1/(p^2 + gamma^(2 hi) m^2)."""
     p2 = spec.momentum_sq()
     m2 = spec.m ** 2
-    return 1.0 / (p2 + m2) - 1.0 / (p2 + spec.gamma ** (2 * h) * m2)
-
-
-def _weights_band(spec: LatticeSpec, h: int) -> np.ndarray:
-    p2 = spec.momentum_sq()
-    m2 = spec.m ** 2
-    lo = spec.gamma ** (2 * (h - 1)) * m2
-    hi = spec.gamma ** (2 * h) * m2
-    return 1.0 / (p2 + lo) - 1.0 / (p2 + hi)
+    return 1.0 / (p2 + spec.gamma ** (2 * lo) * m2) - 1.0 / (p2 + spec.gamma ** (2 * hi) * m2)
 
 
 @dataclass(frozen=True)
 class PropagatorKernel:
-    """Translation-invariant covariance table for one scale band or cumulative range.
+    """Translation-invariant covariance table for one scale range (lo, hi].
 
     ``values`` is indexed by lattice displacement (periodic); ``mode_weights``
     are the nonnegative Fourier coefficients on the mode set.
     """
 
     spec: LatticeSpec
-    band: tuple  # ("cumulative", h) or ("band", h) or ("custom", tag)
+    band: tuple  # the scale range (lo, hi]
     mode_weights: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
@@ -162,28 +178,26 @@ class PropagatorKernel:
         return np.sqrt(sum(g * g for g in grids))
 
 
+def scale_range_kernel(spec: LatticeSpec, lo: int, hi: int) -> PropagatorKernel:
+    """Kernel of the scales in (lo, hi]; the empty range lo == hi gives zero."""
+    if not 0 <= lo <= hi <= spec.N:
+        raise ValueError(f"scale range ({lo}, {hi}] outside (0, {spec.N}]")
+    return PropagatorKernel.from_weights(spec, (lo, hi), _range_weights(spec, lo, hi))
+
+
 def covariance_cumulative(spec: LatticeSpec, h: int) -> PropagatorKernel:
     """Kernel of C^(<=h): mode weight chi_h/(p^2+m^2) on the retained modes."""
-    if not 1 <= h <= spec.N:
-        raise ValueError(f"scale h={h} outside 1..{spec.N}")
-    return PropagatorKernel.from_weights(spec, ("cumulative", h), _weights_cumulative(spec, h))
+    return scale_range_kernel(spec, 0, h)
 
 
 def covariance_band(spec: LatticeSpec, h: int) -> PropagatorKernel:
     """Single-scale kernel C^(h); summing bands 1..N telescopes to cumulative(N)."""
-    if not 1 <= h <= spec.N:
-        raise ValueError(f"scale h={h} outside 1..{spec.N}")
-    return PropagatorKernel.from_weights(spec, ("band", h), _weights_band(spec, h))
+    return scale_range_kernel(spec, h - 1, h)
 
 
 def difference_kernel(spec: LatticeSpec, h: int) -> PropagatorKernel:
     """Kernel of C^(<=N) - C^(<=h); for h=0 this is the full cumulative kernel."""
-    if not 0 <= h <= spec.N:
-        raise ValueError(f"scale h={h} outside 0..{spec.N}")
-    w = _weights_cumulative(spec, spec.N)
-    if h > 0:
-        w = w - _weights_cumulative(spec, h)
-    return PropagatorKernel.from_weights(spec, ("difference", h), w)
+    return scale_range_kernel(spec, h, spec.N)
 
 
 @dataclass
@@ -250,16 +264,6 @@ def bound_report(kernel: PropagatorKernel, eps: float = 0.5) -> BoundReport:
     )
 
 
-def export_csv(kernel: PropagatorKernel, path: str) -> None:
-    """Write the kernel table as CSV rows (displacement components, value)."""
-    spec = kernel.spec
-    with open(path, "w") as fh:
-        header = ",".join(f"dx{i}" for i in range(spec.d))
-        fh.write(header + ",value\n")
-        for idx in np.ndindex(spec.shape):
-            fh.write(",".join(str(i) for i in idx) + f",{kernel.values[idx]!r}\n")
-
-
 def _cache_name(spec: LatticeSpec, band: tuple) -> str:
     return f"kernel_{spec.canonical_hash()}_{band[0]}_{band[1]}.npy"
 
@@ -271,16 +275,14 @@ def cache_store(kernel: PropagatorKernel, directory: str) -> str:
     np.save(path, kernel.values)
     return path
 
+
 def cache_load(spec: LatticeSpec, band: tuple, directory: str) -> PropagatorKernel | None:
     """Load a cached kernel if present; mode weights are recomputed exactly."""
     path = os.path.join(directory, _cache_name(spec, band))
     if not os.path.exists(path):
         return None
     values = np.load(path)
-    if band[0] == "cumulative":
-        weights = _weights_cumulative(spec, band[1])
-    elif band[0] == "band":
-        weights = _weights_band(spec, band[1])
-    else:
-        raise ValueError(f"unknown band kind {band[0]!r}")
-    return PropagatorKernel(spec=spec, band=band, mode_weights=weights, values=values)
+    if values.shape != spec.shape:
+        raise ValueError(f"cached kernel {path} has shape {values.shape}, expected {spec.shape}")
+    return PropagatorKernel(spec=spec, band=tuple(band), mode_weights=_range_weights(spec, *band),
+                            values=values)

@@ -56,16 +56,13 @@ class ExperimentConfig:
         # lam = 0 is admitted as the exactly solvable Gaussian control case
         if not 0 <= self.lam < 1:
             raise ValueError("lambda must lie in [0,1)")
-        if self.f is not None and np.any(np.abs(np.asarray(self.f)) > 1 + 1e-12):
-            raise ValueError("source must satisfy |f| <= 1")
-        if self.method not in ("exact-quadrature", "quasi-MC", "MC"):
+        self.spec.source(self.f)
+        if self.method not in ("exact-quadrature", "MC"):
             raise ValueError(f"unknown method {self.method!r}")
 
     @property
     def f_array(self) -> np.ndarray:
-        if self.f is None:
-            return np.zeros(self.spec.n_sites)
-        return np.asarray(self.f, dtype=float).ravel()
+        return self.spec.source(self.f)
 
     @property
     def B(self) -> float:

@@ -71,6 +71,11 @@ class TestSubcommands:
         chain = [e for e in catalog if e["name"] == "chain"][0]
         assert chain["rho"] == 0.0 and chain["rho_bar"] == 0.5
         assert "chain" in result.output
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "powercount"
+        assert manifest["params"] == {"dim": 3}
+        assert "spec" not in manifest
+        assert "numpy" in manifest["versions"]
 
     def test_rgflow_check_and_dump(self, runner, tmp_path):
         run_ok(runner, ["rgflow", *REF_ARGS, "--order", "2", "--lambda", "0.05",
@@ -85,10 +90,13 @@ class TestSubcommands:
         assert result.exit_code == 3
 
     def test_stability_check(self, runner, tmp_path):
-        run_ok(runner, ["stability", *REF_ARGS, "--lambda", "0.05", "--check",
-                        "--out", str(tmp_path)])
+        run_ok(runner, ["stability", *REF_ARGS, "--lambda", "0.05", "--samples", "10",
+                        "--check", "--out", str(tmp_path)])
         payload = json.loads((tmp_path / "stability.json").read_text())
         assert payload["inside"] is True
+        # the sample count is raised to the 1000 the estimators need, and recorded so
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["params"]["samples"] == 1000
 
     def test_stability_gaussian_control(self, runner, tmp_path):
         result = run_ok(runner, ["stability", *REF_ARGS, "--lambda", "0",

@@ -153,6 +153,10 @@ class TestRelevantSplit:
                       + split.irr.evaluate(phi, LAM))
         assert recombined == pytest.approx(V.evaluate(phi, LAM), rel=1e-12)
 
+    def test_bare_potential_rejects_wrong_length_source(self):
+        with pytest.raises(ValueError):
+            bare_potential(REF, np.array([0.3, -0.2, 0.1]), counterterms(REF, LAM), LAM, jmax=1)
+
     def test_pair_block_empty_in_d2(self):
         V = bare_potential(REF, None, counterterms(REF, LAM), LAM, jmax=2)
         assert relevant_split(V, LAM).rel2.terms == {}

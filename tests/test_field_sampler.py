@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from phi4lab import (
     LatticeSpec,
+    RegionClassification,
     covariance_band,
     sample_layer,
     assemble,
@@ -129,6 +130,12 @@ class TestRegions:
         cls = classify_regions(fld, 1, 1e-9)
         assert cls.chi_B == 0
         assert cls.R
+
+    def test_chi_B_must_match_bad_cubes(self):
+        with pytest.raises(ValueError):
+            RegionClassification(B=1.0, h=1, D1=[], D2=[], R=[(0, 0)], chi_B=1)
+        with pytest.raises(ValueError):
+            RegionClassification(B=1.0, h=1, D1=[], D2=[], R=[], chi_B=0)
 
     def test_d2_has_no_pair_regions(self):
         fld = make_field()

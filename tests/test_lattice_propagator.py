@@ -9,10 +9,11 @@ from phi4lab import (
     covariance_band,
     covariance_cumulative,
     difference_kernel,
+    scale_range_kernel,
     regulator_chi,
     bound_report,
 )
-from phi4lab.lattice_propagator import cache_load, cache_store, export_csv
+from phi4lab.lattice_propagator import cache_load, cache_store
 
 
 def spec2(**kw):
@@ -81,6 +82,19 @@ class TestTelescoping:
         rebuilt = covariance_cumulative(s, 1).values + diff
         assert np.allclose(rebuilt, covariance_cumulative(s, 3).values, atol=1e-14)
 
+    def test_wrappers_are_scale_ranges(self):
+        s = spec2(N=3)
+        assert covariance_cumulative(s, 2).band == (0, 2)
+        assert covariance_band(s, 2).band == (1, 2)
+        assert difference_kernel(s, 1).band == (1, 3)
+        assert np.array_equal(scale_range_kernel(s, 1, 2).values,
+                              covariance_band(s, 2).values)
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 1), (2, 1), (0, 4)])
+    def test_scale_range_outside_cutoff_is_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            scale_range_kernel(spec2(N=3), lo, hi)
+
     def test_difference_kernel_at_full_scale_vanishes(self):
         s = spec2()
         assert np.max(np.abs(difference_kernel(s, s.N).values)) == 0.0
@@ -141,17 +155,38 @@ class TestArtifacts:
         s = spec2()
         k = covariance_band(s, 2)
         cache_store(k, str(tmp_path))
-        back = cache_load(s, ("band", 2), str(tmp_path))
+        back = cache_load(s, (1, 2), str(tmp_path))
         assert back is not None
         assert np.array_equal(back.values, k.values)
 
-    def test_cache_miss_returns_none(self, tmp_path):
-        assert cache_load(spec2(), ("band", 1), str(tmp_path)) is None
+    @pytest.mark.parametrize("build", [covariance_cumulative, covariance_band, difference_kernel])
+    def test_cache_roundtrip_every_kernel_kind(self, tmp_path, build):
+        s = spec2(N=3)
+        k = build(s, 1)
+        cache_store(k, str(tmp_path))
+        back = cache_load(s, k.band, str(tmp_path))
+        assert back.band == k.band
+        assert np.array_equal(back.values, k.values)
+        assert np.array_equal(back.mode_weights, k.mode_weights)
 
-    def test_export_csv_shape(self, tmp_path):
+    def test_cache_rejects_wrong_shape(self, tmp_path):
         s = spec2()
-        path = tmp_path / "kernel.csv"
-        export_csv(covariance_cumulative(s, 2), str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "dx0,dx1,value"
-        assert len(lines) == 1 + s.n_sites
+        path = cache_store(covariance_band(s, 1), str(tmp_path))
+        np.save(path, np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            cache_load(s, (0, 1), str(tmp_path))
+
+    def test_cache_miss_returns_none(self, tmp_path):
+        assert cache_load(spec2(), (0, 1), str(tmp_path)) is None
+
+
+class TestSource:
+    def test_none_is_zeros_and_tables_are_flattened(self):
+        s = spec2()
+        assert np.array_equal(s.source(None), np.zeros(s.n_sites))
+        assert s.source(np.full(s.shape, 0.5)).shape == (s.n_sites,)
+
+    @pytest.mark.parametrize("f", [[0.1, 0.2], np.full(16, 1.5)])
+    def test_rejects_wrong_length_or_size(self, f):
+        with pytest.raises(ValueError):
+            spec2().source(f)

@@ -34,9 +34,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(spec=REF, lam=0.1, f=(2.0, 0, 0, 0))
 
+    def test_rejects_wrong_length_source(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(spec=REF, lam=0.1, f=(0.1, 0.2, 0.3))
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             ExperimentConfig(spec=REF, lam=0.1, method="tea-leaves")
+        with pytest.raises(ValueError):
+            ExperimentConfig(spec=REF, lam=0.1, method="quasi-MC")
 
     def test_threshold_grows_for_small_coupling(self):
         a = ExperimentConfig(spec=REF, lam=0.001).B
