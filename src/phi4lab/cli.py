@@ -14,6 +14,7 @@ import json
 import math
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -53,7 +54,7 @@ from .stability_lab import (
     InfeasibleSizeError,
     estimate_Z,
     nongaussianity,
-    QUADRATURE_MODE_CAP,
+    quadrature_feasible,
 )
 
 EXIT_CONFIG = 2
@@ -295,17 +296,21 @@ def stability(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt
     """Estimate log(Z(f)/Z(0)), compare with the series inside the envelope."""
     spec = _build_spec(dim, gamma, mass, box, cutoff)
     out = Path(out)
-    samples = max(samples, 1000)
-    _write_manifest(out, "stability", spec,
-                    {"lambda": lam, "order": order, "seed": seed, "samples": samples})
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     f = tuple(rng.uniform(-0.5, 0.5, spec.n_sites))
-    method = "exact-quadrature" if spec.n_sites <= QUADRATURE_MODE_CAP else "MC"
     try:
-        cfg = ExperimentConfig(spec=spec, lam=lam, f=f, j=order, method=method,
-                               seed=seed, n_samples=samples)
+        cfg = ExperimentConfig(spec=spec, lam=lam, f=f, j=order, seed=seed,
+                               n_samples=max(samples, 1000))
+        if not quadrature_feasible(spec, cfg.gh_nodes):
+            cfg = replace(cfg, method="MC")
+        params = {"lambda": lam, "order": order, "seed": seed, "method": cfg.method}
+        if cfg.method == "MC":
+            params["samples"] = cfg.n_samples
+        else:
+            params["quadrature_nodes"] = cfg.gh_nodes ** spec.n_sites
+        _write_manifest(out, "stability", spec, params)
         report = estimate_Z(cfg)
-        kappa = nongaussianity(cfg) if method == "exact-quadrature" else None
+        kappa = nongaussianity(cfg) if cfg.method == "exact-quadrature" else None
     except InfeasibleSizeError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
@@ -313,7 +318,7 @@ def stability(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     payload = {
-        "method": method,
+        "method": cfg.method,
         "value": report.value, "error": report.error,
         "series_value": report.series_value,
         "envelope": report.envelope, "inside": bool(report.inside),

@@ -267,10 +267,6 @@ def classify_regions(fld: MultiscaleField, h: int, B: float,
                 eta = tuple(int(c) for c in ix)
                 etap = tuple((int(c) + int(dd)) % spec.n_side for c, dd in zip(ix, delta))
                 d2.append((eta, etap))
-    origins, side = pavement_cubes(spec, h)
-    bad = []
-    layer = fld.layers[h]
-    for origin in origins:
-        if hoelder_norm(layer.z, spec, origin, side, tau=tau, eps=eps) > B * h ** 2:
-            bad.append(origin)
+    origins, norms = layer_norm_profile(fld.layers[h], level=h, tau=tau, eps=eps)
+    bad = [origin for origin, norm in zip(origins, norms) if norm > B * h ** 2]
     return RegionClassification(B=B, h=h, D1=d1, D2=d2, R=bad, chi_B=1 if not bad else 0)

@@ -1,15 +1,18 @@
 """Desk-scale stability experiments on the interacting measure.
 
 Estimates log(Z(f)/Z(0)) either by exact Gauss-Hermite quadrature over the
-diagonalized covariance (a sampling-free ground truth, feasible up to a small
-mode cap) or by Monte Carlo with shared randomness between numerator and
-denominator.  Compares the estimates with the truncated series inside a
-remainder envelope and measures the non-Gaussian fourth cumulant of the
-source-coupled field.
+diagonalized covariance or by Monte Carlo with shared randomness between
+numerator and denominator.  Quadrature is the sampling-free ground truth: one
+dense tensor grid of gh_nodes ** n_sites nodes, feasible while that count is
+at most QUADRATURE_NODE_CAP = 32^4 and refused beyond it with
+InfeasibleSizeError (CLI exit 3) before any array is built.  Compares the
+estimates with the truncated series inside a remainder envelope and measures
+the non-Gaussian fourth cumulant of the source-coupled field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -28,10 +31,11 @@ __all__ = [
     "nongaussianity",
     "calibrate_Cj",
     "series_prediction",
+    "quadrature_feasible",
 ]
 
-QUADRATURE_MODE_CAP = 8
-DENSE_MODE_CAP = 5
+# the largest grid in use: the default 32 nodes per mode on a 4-site lattice
+QUADRATURE_NODE_CAP = 32 ** 4
 
 
 class InfeasibleSizeError(ValueError):
@@ -59,6 +63,10 @@ class ExperimentConfig:
         self.spec.source(self.f)
         if self.method not in ("exact-quadrature", "MC"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.gh_nodes < 1:
+            raise ValueError("gh_nodes must be at least 1")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
 
     @property
     def f_array(self) -> np.ndarray:
@@ -84,17 +92,23 @@ class StabilityReport:
     extras: dict = field(default_factory=dict)
 
 
+def quadrature_feasible(spec: LatticeSpec, gh_nodes: int) -> bool:
+    """True when the gh_nodes ** n_sites quadrature grid fits QUADRATURE_NODE_CAP."""
+    return gh_nodes ** spec.n_sites <= QUADRATURE_NODE_CAP
+
+
 def _interaction_log_density(cfg: ExperimentConfig, phi: np.ndarray,
-                             cts: Counterterms, t: float = 1.0) -> np.ndarray:
-    """V = -a^d sum_x (lambda phi^4 + mu phi^2 + nu + t f phi), vectorized over
-    leading axes of phi (site axis last)."""
+                             cts: Counterterms, t_values) -> dict:
+    """V_t = -a^d sum_x (lambda phi^4 + mu phi^2 + nu + t f phi) for each t,
+    vectorized over leading axes of phi (site axis last).  The t-independent
+    part is computed once."""
     spec = cfg.spec
     w = spec.a ** spec.d
     f = cfg.f_array
     quart = cfg.lam * np.sum(phi ** 4, axis=-1)
     quad = cts.mu * np.sum(phi ** 2, axis=-1)
-    lin = t * phi @ f
-    return -w * (quart + quad + cts.nu * spec.n_sites + lin)
+    even = quart + quad + cts.nu * spec.n_sites
+    return {t: -w * (even + (t * phi) @ f) for t in t_values}
 
 
 def _gauss_hermite(nodes: int):
@@ -117,62 +131,43 @@ def _log_mean_exp(logs: np.ndarray, weights: np.ndarray) -> float:
 
 def _quadrature_log_ratio(cfg: ExperimentConfig, cts: Counterterms,
                           t_values=(1.0,)) -> dict:
-    """log Z(t f) - log Z(0) for each t, by tensorized Gauss-Hermite nodes."""
+    """log Z(t f) - log Z(0) for each t, on the dense Gauss-Hermite tensor grid."""
     spec = cfg.spec
     n_modes = spec.n_sites
-    if n_modes > QUADRATURE_MODE_CAP:
+    if not quadrature_feasible(spec, cfg.gh_nodes):
         raise InfeasibleSizeError(
-            f"{n_modes} modes exceed the exact-quadrature cap of {QUADRATURE_MODE_CAP}")
-    A = _mode_basis(spec)
+            f"{cfg.gh_nodes}^{n_modes} quadrature nodes exceed the cap of "
+            f"{QUADRATURE_NODE_CAP}")
     x, w = _gauss_hermite(cfg.gh_nodes)
-    inner = min(n_modes, DENSE_MODE_CAP)
-    outer = n_modes - inner
-    grids = np.meshgrid(*([x] * inner), indexing="ij")
-    y_inner = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w] * inner), indexing="ij")
-    w_inner = np.ones(len(y_inner))
-    for g in wgrids:
-        w_inner = w_inner * g.ravel()
-    results = {t: [] for t in list(t_values) + [0.0]}
-    outer_iter = np.ndindex(*([cfg.gh_nodes] * outer)) if outer else [()]
-    log_chunks = {t: [] for t in results}
-    weight_chunks = []
-    for outer_idx in outer_iter:
-        y = np.empty((len(y_inner), n_modes))
-        y[:, :inner] = y_inner
-        w_out = 1.0
-        for k, ix in enumerate(outer_idx):
-            y[:, inner + k] = x[ix]
-            w_out *= w[ix]
-        phi = y @ A.T
-        weight_chunks.append(w_inner * w_out)
-        for t in results:
-            log_chunks[t].append(_interaction_log_density(cfg, phi, cts, t=t))
-    weights = np.concatenate(weight_chunks)
-    out = {}
-    for t in results:
-        logs = np.concatenate(log_chunks[t])
-        out[t] = _log_mean_exp(logs, weights)
-    return {t: out[t] - out[0.0] for t in t_values}
+    y = np.stack(np.meshgrid(*([x] * n_modes), indexing="ij"), axis=-1).reshape(-1, n_modes)
+    weights = functools.reduce(np.multiply.outer, [w] * n_modes).ravel()
+    phi = y @ _mode_basis(spec).T
+    logs = _interaction_log_density(cfg, phi, cts, [*t_values, 0.0])
+    z0 = _log_mean_exp(logs[0.0], weights)
+    return {t: _log_mean_exp(logs[t], weights) - z0 for t in t_values}
 
 
-def _mc_log_ratio(cfg: ExperimentConfig, cts: Counterterms) -> tuple:
+def _mc_log_ratio(cfg: ExperimentConfig, cts: Counterterms, t_values=(1.0,)) -> dict:
+    """(log Z(t f) - log Z(0), error) for each t, all from one shared draw."""
     spec = cfg.spec
-    A = _mode_basis(spec)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
     y = rng.standard_normal((cfg.n_samples, spec.n_sites))
-    phi = y @ A.T
-    v1 = _interaction_log_density(cfg, phi, cts, t=1.0)
-    v0 = _interaction_log_density(cfg, phi, cts, t=0.0)
-    shift = max(float(v1.max()), float(v0.max()))
-    e1, e0 = np.exp(v1 - shift), np.exp(v0 - shift)
-    ratio = float(np.mean(e1) / np.mean(e0))
-    # delta-method error bar for the shared-seed ratio estimator
-    cov = np.cov(e1, e0)
-    m1, m0 = float(np.mean(e1)), float(np.mean(e0))
-    var = (cov[0, 0] / m1 ** 2 - 2 * cov[0, 1] / (m1 * m0)
-           + cov[1, 1] / m0 ** 2) / cfg.n_samples
-    return math.log(ratio), math.sqrt(max(var, 0.0))
+    phi = y @ _mode_basis(spec).T
+    logs = _interaction_log_density(cfg, phi, cts, [*t_values, 0.0])
+    v0 = logs[0.0]
+    out = {}
+    for t in t_values:
+        v1 = logs[t]
+        shift = max(float(v1.max()), float(v0.max()))
+        e1, e0 = np.exp(v1 - shift), np.exp(v0 - shift)
+        ratio = float(np.mean(e1) / np.mean(e0))
+        # delta-method error bar for the shared-seed ratio estimator
+        cov = np.cov(e1, e0)
+        m1, m0 = float(np.mean(e1)), float(np.mean(e0))
+        var = (cov[0, 0] / m1 ** 2 - 2 * cov[0, 1] / (m1 * m0)
+               + cov[1, 1] / m0 ** 2) / cfg.n_samples
+        out[t] = (math.log(ratio), math.sqrt(max(var, 0.0)))
+    return out
 
 
 def series_prediction(cfg: ExperimentConfig, cts: Counterterms | None = None) -> float:
@@ -221,7 +216,7 @@ def estimate_Z(cfg: ExperimentConfig, cts: Counterterms | None = None,
         value = _quadrature_log_ratio(cfg, cts)[1.0] / vol
         error = 0.0
     else:
-        raw, err = _mc_log_ratio(cfg, cts)
+        raw, err = _mc_log_ratio(cfg, cts)[1.0]
         value, error = raw / vol, err / vol
     series = series_prediction(cfg, cts)
     if cfg.lam == 0.0:
@@ -271,7 +266,7 @@ def stability_envelope(cfg: ExperimentConfig, N_range, tail: float = 0.0) -> dic
     """Estimates across cutoffs at fixed physical volume, against one envelope.
 
     The lattice is refined as N grows (L and m fixed); exact quadrature is
-    used while the site count permits, Monte Carlo beyond that.
+    used while its grid is feasible, Monte Carlo beyond that.
     """
     spec = cfg.spec
     reports = {}
@@ -281,7 +276,7 @@ def stability_envelope(cfg: ExperimentConfig, N_range, tail: float = 0.0) -> dic
             sp = LatticeSpec(d=spec.d, L=spec.L, m=spec.m, gamma=spec.gamma, N=int(N))
         except ValueError as exc:
             raise InfeasibleSizeError(str(exc))
-        method = "exact-quadrature" if sp.n_sites <= QUADRATURE_MODE_CAP else "MC"
+        method = "exact-quadrature" if quadrature_feasible(sp, cfg.gh_nodes) else "MC"
         sub = replace(cfg, spec=sp, method=method,
                       f=None if cfg.f is None else _refine_source(cfg.f, spec, sp))
         if C_j is None and method == "exact-quadrature" and cfg.lam > 0:
@@ -312,11 +307,7 @@ def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5,
     if cfg.method == "exact-quadrature":
         g = _quadrature_log_ratio(cfg, cts, t_values=ts)
     else:
-        g = {}
-        for t in ts:
-            sub = replace(cfg, f=tuple(t * cfg.f_array))
-            raw, _ = _mc_log_ratio(sub, cts)
-            g[t] = raw
+        g = {t: raw for t, (raw, _) in _mc_log_ratio(cfg, cts, ts).items()}
     kappa4 = (g[-2 * delta] - 4 * g[-delta] - 4 * g[delta] + g[2 * delta]) / delta ** 4
     kernel = covariance_cumulative(spec, spec.N)
     conv = kernel.matrix() @ cfg.f_array * spec.a ** spec.d

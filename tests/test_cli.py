@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -94,9 +95,29 @@ class TestSubcommands:
                         "--check", "--out", str(tmp_path)])
         payload = json.loads((tmp_path / "stability.json").read_text())
         assert payload["inside"] is True
+        # exact quadrature draws no samples; the manifest records its node count
+        params = json.loads((tmp_path / "manifest.json").read_text())["params"]
+        assert params["method"] == "exact-quadrature"
+        assert params["quadrature_nodes"] == 32 ** 4
+        assert "samples" not in params
+
+    def test_stability_mc_manifest(self, runner, tmp_path):
+        run_ok(runner, ["stability", "--lambda", "0", "--samples", "10",
+                        "--out", str(tmp_path)])
         # the sample count is raised to the 1000 the estimators need, and recorded so
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["params"]["samples"] == 1000
+        params = json.loads((tmp_path / "manifest.json").read_text())["params"]
+        assert params["method"] == "MC"
+        assert params["samples"] == 1000
+        assert "quadrature_nodes" not in params
+
+    def test_stability_oversized_grid_exits_3(self, runner, tmp_path):
+        # 8 sites at 32 nodes is a 32^8-node grid: MC is chosen, and the C_j
+        # calibration it needs is refused by the node cap
+        start = time.perf_counter()
+        result = runner.invoke(main, ["stability", "--dim", "3", "--cutoff", "1",
+                                      "--lambda", "0.05", "--out", str(tmp_path)])
+        assert result.exit_code == 3
+        assert time.perf_counter() - start < 30
 
     def test_stability_gaussian_control(self, runner, tmp_path):
         result = run_ok(runner, ["stability", *REF_ARGS, "--lambda", "0",

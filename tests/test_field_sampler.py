@@ -112,10 +112,32 @@ class TestNorms:
         assert side * side * len(origins) == spec.n_sites
 
     def test_profile_matches_direct_norms(self):
-        layer = sample_layer(SPEC, 1, 3)
-        origins, norms = layer_norm_profile(layer)
-        assert len(origins) == len(norms)
-        assert all(v >= 0 for v in norms)
+        # the second lattice has cube side 2 on a 9-site side: cubes wrap round
+        for spec in (LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2),
+                     LatticeSpec(d=2, L=4.0, m=1.0, gamma=1.5, N=2)):
+            layer = sample_layer(spec, 1, 3)
+            origins, norms = layer_norm_profile(layer, tau=1)
+            assert len(origins) == len(norms)
+            _, side = pavement_cubes(spec, 1)
+            for origin, norm in zip(origins, norms):
+                assert norm == pytest.approx(_brute_force_norm(layer, origin, side),
+                                             rel=1e-12)
+
+
+def _brute_force_norm(layer, origin, side, eps=0.25):
+    """max of |z_x| + |z_x - z_eta| / |x - eta|^eps over x in the cube and
+    eta at torus distance below 1/m, by a plain double loop over sites."""
+    spec, z, n = layer.spec, layer.z, layer.spec.n_side
+    best = 0.0
+    for offset in np.ndindex((side,) * spec.d):
+        x = tuple((o + k) % n for o, k in zip(origin, offset))
+        best = max(best, abs(z[x]))
+        for eta in np.ndindex(spec.shape):
+            r = math.sqrt(sum((min(abs(u - v), n - abs(u - v)) * spec.a) ** 2
+                              for u, v in zip(x, eta)))
+            if 0 < r < 1.0 / spec.m:
+                best = max(best, abs(z[x]) + abs(z[x] - z[eta]) / r ** eps)
+    return best
 
 
 class TestRegions:

@@ -13,14 +13,18 @@ from phi4lab import (
 )
 from phi4lab.stability_lab import (
     InfeasibleSizeError,
+    QUADRATURE_NODE_CAP,
     _refine_source,
     calibrate_Cj,
+    quadrature_feasible,
     series_prediction,
 )
 
 
 REF = LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)
 F = (0.6, -0.4, 0.2, 0.5)
+CUBE = LatticeSpec(d=3, L=1, m=1, gamma=2, N=1)  # 8 sites
+F8 = (0.6, -0.4, 0.2, 0.5, -0.1, 0.3, -0.7, 0.25)
 
 
 class TestConfig:
@@ -43,6 +47,14 @@ class TestConfig:
             ExperimentConfig(spec=REF, lam=0.1, method="tea-leaves")
         with pytest.raises(ValueError):
             ExperimentConfig(spec=REF, lam=0.1, method="quasi-MC")
+
+    def test_rejects_empty_quadrature_rule(self):
+        with pytest.raises(ValueError, match="gh_nodes"):
+            ExperimentConfig(spec=REF, lam=0.1, gh_nodes=0)
+
+    def test_rejects_empty_sample(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            ExperimentConfig(spec=REF, lam=0.1, method="MC", n_samples=0)
 
     def test_threshold_grows_for_small_coupling(self):
         a = ExperimentConfig(spec=REF, lam=0.001).B
@@ -98,6 +110,33 @@ class TestEstimators:
         cfg = ExperimentConfig(spec=big, lam=0.05, method="exact-quadrature")
         with pytest.raises(InfeasibleSizeError):
             estimate_Z(cfg)
+
+    def test_node_cap_refuses_eight_sites_at_default_nodes(self):
+        cfg = ExperimentConfig(spec=CUBE, lam=0.05, f=F8, method="exact-quadrature")
+        assert cfg.gh_nodes ** CUBE.n_sites > QUADRATURE_NODE_CAP
+        with pytest.raises(InfeasibleSizeError):
+            estimate_Z(cfg)
+
+    def test_eight_site_gaussian_control_under_the_cap(self):
+        cfg = ExperimentConfig(spec=CUBE, lam=0.0, f=F8, method="exact-quadrature",
+                               gh_nodes=4)
+        rep = estimate_Z(cfg)
+        fa = np.asarray(F8)
+        M = covariance_cumulative(CUBE, CUBE.N).matrix()
+        vol = CUBE.n_sites * CUBE.a ** CUBE.d
+        exact = 0.5 * CUBE.a ** (2 * CUBE.d) * fa @ M @ fa / vol
+        assert rep.value == pytest.approx(exact, abs=1e-12)
+
+    def test_feasibility_decides_the_sweep_method(self):
+        for gh in (4, 32):
+            cfg = ExperimentConfig(spec=CUBE, lam=0.0, f=F8, gh_nodes=gh, n_samples=2000)
+            sweep = stability_envelope(cfg, N_range=[1, 2])
+            for N, rep in sweep["reports"].items():
+                sp = LatticeSpec(d=3, L=1, m=1, gamma=2, N=N)
+                assert ((rep.extras["method"] == "exact-quadrature")
+                        == quadrature_feasible(sp, gh))
+            assert sweep["reports"][1].extras["method"] == (
+                "exact-quadrature" if gh == 4 else "MC")
 
     def test_series_prediction_is_source_difference(self):
         cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1)
