@@ -20,6 +20,7 @@ chain part), which makes order bookkeeping in the series exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ __all__ = [
     "Counterterms",
     "enumerate_connected",
     "enumerate_matchings",
+    "aggregate_topologies",
     "integrated_value",
     "counterterms",
     "renormalized_chain_value",
@@ -165,17 +167,23 @@ def enumerate_connected(n: int, p: int, r: int):
 
 
 def aggregate_topologies(graphs):
-    """Group labeled matchings by their line multiset.
+    """Group labeled matchings into topologies.
 
-    Returns a list of (representative graph, line multiset, multiplicity)
-    where the line multiset is canonical up to relabeling of same-kind
-    vertices.
+    Two matchings share a topology when a relabeling of same-kind vertices
+    maps one line multiset onto the other.  Returns a list of
+    (representative graph, line multiset, multiplicity) in first-seen order,
+    where the representative is the first graph of its bucket and the line
+    multiset is that graph's raw one (sorted vertex-index pairs), not a
+    canonical form.  The invariant is computed once per distinct raw multiset.
     """
     buckets = {}
+    invariants = {}
     for g in graphs:
         kinds = tuple(e.kind for e in g.elements)
         raw = tuple(sorted(tuple(sorted(l)) for l in g.lines()))
-        sig = _canonical_lines(raw, kinds)
+        sig = invariants.get((raw, kinds))
+        if sig is None:
+            sig = invariants[(raw, kinds)] = _canonical_lines(raw, kinds)
         if sig not in buckets:
             buckets[sig] = [g, raw, 0]
         buckets[sig][2] += 1
@@ -183,21 +191,46 @@ def aggregate_topologies(graphs):
 
 
 def _canonical_lines(lines, kinds):
-    """Minimal line multiset over permutations of same-kind vertex labels."""
+    """Complete invariant of a line multiset under same-kind relabeling.
+
+    External elements are leaves (one half-line each) and interchangeable,
+    so they are folded away: up to relabeling of the externals, a multiset is
+    fixed by its lines between internal vertices.  The external legs on an
+    internal vertex are the half-lines those lines leave free, and the
+    external-external lines take the remaining externals.  Only the internal
+    same-kind labels are then permuted, (n+p)! relabelings at most, and the
+    least relabeled internal multiset is kept.  Two multisets over the same
+    kinds get the same invariant exactly when a same-kind relabeling maps one
+    onto the other.
+    """
     groups = {}
     for i, k in enumerate(kinds):
-        groups.setdefault(k, []).append(i)
+        if k != "external":
+            groups.setdefault(k, []).append(i)
+    internal = [(u, v) for u, v in lines
+                if kinds[u] != "external" and kinds[v] != "external"]
     best = None
-    perms_per_group = [itertools.permutations(ix) for ix in groups.values()]
-    for combo in itertools.product(*[list(p) for p in perms_per_group]):
+    for combo in itertools.product(*[itertools.permutations(ix) for ix in groups.values()]):
         mapping = {}
         for orig_ix, perm in zip(groups.values(), combo):
             for a, b in zip(orig_ix, perm):
                 mapping[a] = b
-        relabeled = tuple(sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in lines))
+        relabeled = tuple(sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in internal))
         if best is None or relabeled < best:
             best = relabeled
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def _topology_table(n: int, p: int, r: int) -> tuple:
+    """(raw line multiset, element kinds, multiplicity) per topology of the
+    connected (n, p, r) family, in first-seen order.
+
+    It depends only on the three counts, never on a kernel or a source, so
+    it is built once per process and shared by every series and counterterm.
+    """
+    return tuple((raw, tuple(e.kind for e in g.elements), count)
+                 for g, raw, count in aggregate_topologies(enumerate_connected(n, p, r)))
 
 
 def _einsum_sum(lines, element_kinds, M, f, n_sites):
@@ -272,8 +305,8 @@ def _poly_shift(a, k, jmax):
 def _family_poly(n, p, r, kernel, f_arr, mu_poly, jmax):
     """Sum over connected (n,p,r) matchings of integrated values, as a lambda poly."""
     spec = kernel.spec
-    graphs = enumerate_connected(n, p, r)
-    if not graphs:
+    table = _topology_table(n, p, r)
+    if not table:
         return None
     M = kernel.matrix()
     sign = (-1.0) ** (n + p + r)
@@ -287,9 +320,8 @@ def _family_poly(n, p, r, kernel, f_arr, mu_poly, jmax):
         return None
     weight = spec.a ** (spec.d * (n + p + r))
     S = 0.0
-    for g, raw_lines, count in aggregate_topologies(graphs):
-        S += count * _einsum_sum(raw_lines, tuple(e.kind for e in g.elements),
-                                 M, f_arr, spec.n_sites)
+    for raw_lines, kinds, count in table:
+        S += count * _einsum_sum(raw_lines, kinds, M, f_arr, spec.n_sites)
     return base * (S * weight)
 
 

@@ -65,8 +65,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.gh_nodes < 1:
             raise ValueError("gh_nodes must be at least 1")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        if self.n_samples < 2:
+            # the MC error bar is a sample covariance, undefined for one sample
+            raise ValueError("n_samples must be at least 2")
 
     @property
     def f_array(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from phi4lab import (
     LatticeSpec,
     covariance_cumulative,
+    difference_kernel,
     enumerate_connected,
     counterterms,
     wick_oracle,
@@ -14,7 +16,10 @@ from phi4lab import (
     renormalized_chain_value,
 )
 from phi4lab.feynman_graphs import (
+    FeynmanGraph,
+    _canonical_lines,
     _elements,
+    _topology_table,
     aggregate_topologies,
     enumerate_matchings,
     integrated_value,
@@ -107,7 +112,6 @@ class TestFamilyMoments:
         half = [(v, s) for v, el in enumerate(elements)
                 for s in range(el.half_lines)]
         total = 0.0
-        from phi4lab.feynman_graphs import FeynmanGraph
         graphs = [FeynmanGraph(elements=elements, pairing=m)
                   for m in enumerate_matchings(half)]
         for g, _, mult in aggregate_topologies(graphs):
@@ -197,3 +201,115 @@ class TestChainSubtraction:
         raw = renormalized_chain_value(k3, (0, 0, 0), (1, 0, 0), subtract=False)
         sub = renormalized_chain_value(k3, (0, 0, 0), (1, 0, 0), subtract=True)
         assert abs(sub) < abs(raw)
+
+
+# --- topology invariant against the relabeling brute force -------------------
+
+def _brute_orbit(lines, kinds):
+    """Every image of a line multiset under all relabelings of same-kind vertices."""
+    groups = {}
+    for i, k in enumerate(kinds):
+        groups.setdefault(k, []).append(i)
+    orbit = set()
+    for combo in itertools.product(*[itertools.permutations(ix) for ix in groups.values()]):
+        mapping = {}
+        for orig_ix, perm in zip(groups.values(), combo):
+            for a, b in zip(orig_ix, perm):
+                mapping[a] = b
+        orbit.add(tuple(sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in lines)))
+    return orbit
+
+
+def _brute_least(raws, kinds):
+    """Least relabeled image of each raw multiset, each orbit searched once."""
+    least = {}
+    for raw in raws:
+        if raw not in least:
+            orbit = _brute_orbit(raw, kinds)
+            least.update(dict.fromkeys(orbit, min(orbit)))
+    return least
+
+
+def _raw_lines(g):
+    return tuple(sorted(tuple(sorted(l)) for l in g.lines()))
+
+
+def _brute_aggregate(graphs, least):
+    """The aggregation with buckets keyed by the brute-force least image."""
+    buckets = {}
+    for g in graphs:
+        raw = _raw_lines(g)
+        if least[raw] not in buckets:
+            buckets[least[raw]] = [g, raw, 0]
+        buckets[least[raw]][2] += 1
+    return [(g, raw, count) for g, raw, count in buckets.values()]
+
+
+ORACLE_FAMILIES = sorted(
+    {(n, p, r) for n in range(3) for p in range(5) for r in range(9)
+     if 0 < 4 * n + 2 * p + r <= 8 and r % 2 == 0}
+    | {(2, 1, 2), (1, 2, 2), (3, 0, 2), (2, 2, 0), (1, 3, 0), (0, 4, 0),
+       (2, 0, 2), (2, 0, 4), (1, 1, 4)})
+
+
+class TestTopologyInvariant:
+    @pytest.mark.parametrize("n,p,r", ORACLE_FAMILIES)
+    def test_invariant_and_aggregation_match_brute_force(self, n, p, r):
+        elements = _elements(n, p, r)
+        kinds = tuple(e.kind for e in elements)
+        half = [(v, s) for v, el in enumerate(elements) for s in range(el.half_lines)]
+        graphs = [FeynmanGraph(elements=elements, pairing=m)
+                  for m in enumerate_matchings(half)]
+        raws = {_raw_lines(g) for g in graphs}
+        least = _brute_least(raws, kinds)
+        by_invariant, by_orbit = {}, {}
+        for raw in raws:
+            by_invariant.setdefault(_canonical_lines(raw, kinds), set()).add(raw)
+            by_orbit.setdefault(least[raw], set()).add(raw)
+        assert sorted(map(sorted, by_invariant.values())) \
+            == sorted(map(sorted, by_orbit.values()))
+        assert aggregate_topologies(graphs) == _brute_aggregate(graphs, least)
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.atleast_1d(values)]
+
+
+class TestMemoSafety:
+    F = np.array([0.8, -0.5, 0.3, 0.1])
+
+    def _numbers(self, kernel=None):
+        cts = counterterms(SPEC, 0.05, nu_order=2)
+        return (_hex(cts.mu_poly) + _hex(cts.nu_poly)
+                + _hex(logZ_series(SPEC, 0.05, self.F, 2, kernel=kernel, cts=cts).coefficients)
+                + _hex(logZ_series(SPEC, 0.05, None, 2, kernel=kernel, cts=cts).coefficients))
+
+    def test_repeated_call_is_bit_identical(self):
+        _topology_table.cache_clear()
+        first = self._numbers()
+        assert _topology_table.cache_info().currsize > 0
+        assert self._numbers() == first
+
+    def test_cache_does_not_key_on_the_kernel(self):
+        diff = difference_kernel(SPEC, 1)
+        _topology_table.cache_clear()
+        cold = self._numbers(kernel=diff)
+        _topology_table.cache_clear()
+        self._numbers()
+        assert self._numbers(kernel=diff) == cold
+
+    def test_memo_multiplicities_count_connected_matchings(self):
+        for n, p, r in [(0, 0, 2), (1, 0, 0), (1, 1, 2), (2, 0, 4), (0, 3, 2)]:
+            table = _topology_table(n, p, r)
+            assert sum(count for _, _, count in table) \
+                == len(enumerate_connected(n, p, r))
+
+    def test_memo_table_is_immutable(self):
+        def only_tuples(obj):
+            if isinstance(obj, tuple):
+                return all(only_tuples(x) for x in obj)
+            return isinstance(obj, (int, str))
+        table = _topology_table(2, 0, 2)
+        assert isinstance(table, tuple) and table
+        assert all(only_tuples(entry) for entry in table)
+

@@ -56,6 +56,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_samples"):
             ExperimentConfig(spec=REF, lam=0.1, method="MC", n_samples=0)
 
+    def test_rejects_single_sample(self):
+        # one sample has no covariance, so the MC error bar would be nan
+        with pytest.raises(ValueError, match="n_samples"):
+            ExperimentConfig(spec=REF, lam=0.05, f=F, method="MC", n_samples=1)
+
     def test_threshold_grows_for_small_coupling(self):
         a = ExperimentConfig(spec=REF, lam=0.001).B
         b = ExperimentConfig(spec=REF, lam=0.1).B
