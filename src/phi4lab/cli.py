@@ -38,7 +38,6 @@ from .feynman_graphs import (
     counterterms,
     logZ_series,
     wick_oracle,
-    enumerate_connected,
 )
 from .power_counting import divergence_scan, rho, scale_sum, TreeTopology
 from .effective_potential import (

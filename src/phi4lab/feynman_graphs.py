@@ -149,21 +149,25 @@ def enumerate_connected(n: int, p: int, r: int):
 
     For (n, p, r) = (0, 0, 0) the result is the single trivial vacuum graph.
     """
+    return list(_connected_graphs(n, p, r))
+
+
+def _connected_graphs(n: int, p: int, r: int):
+    """Generator form of enumerate_connected, for callers that only count."""
     if n < 0 or p < 0 or r < 0:
         raise ValueError("element counts must be nonnegative")
     if (n, p, r) == (0, 0, 0):
-        return [trivial_vacuum_graph()]
+        yield trivial_vacuum_graph()
+        return
     total = 4 * n + 2 * p + r
     if total % 2:
         raise ValueError(f"odd half-line total {total} for (n,p,r)=({n},{p},{r})")
     elements = _elements(n, p, r)
     half_lines = [(v, s) for v, e in enumerate(elements) for s in range(e.half_lines)]
-    graphs = []
     for pairing in enumerate_matchings(half_lines):
         g = FeynmanGraph(elements=elements, pairing=pairing)
         if g.connected:
-            graphs.append(g)
-    return graphs
+            yield g
 
 
 def aggregate_topologies(graphs):
@@ -230,7 +234,7 @@ def _topology_table(n: int, p: int, r: int) -> tuple:
     it is built once per process and shared by every series and counterterm.
     """
     return tuple((raw, tuple(e.kind for e in g.elements), count)
-                 for g, raw, count in aggregate_topologies(enumerate_connected(n, p, r)))
+                 for g, raw, count in aggregate_topologies(_connected_graphs(n, p, r)))
 
 
 def _einsum_sum(lines, element_kinds, M, f, n_sites):

@@ -14,7 +14,8 @@ from phi4lab import (
     classify_regions,
     field_threshold,
 )
-from phi4lab.field_sampler import layer_norm_profile, pavement_cubes, tail_stats
+from phi4lab.field_sampler import _band_fields, layer_norm_profile, pavement_cubes, tail_stats
+from phi4lab.lattice_propagator import _range_weights
 
 
 SPEC = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)
@@ -123,6 +124,65 @@ class TestNorms:
                 assert norm == pytest.approx(_brute_force_norm(layer, origin, side),
                                              rel=1e-12)
 
+    def test_pavement_origins_in_c_order(self):
+        for spec, level in ((LatticeSpec(d=2, L=4.0, m=1.0, gamma=1.5, N=2), 1),
+                            (LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=3), 2)):
+            origins, side = pavement_cubes(spec, level)
+            steps = range(0, spec.n_side, side)
+            if spec.d == 2:
+                expected = [(i, j) for i in steps for j in steps]
+            else:
+                expected = [(i, j, k) for i in steps for j in steps for k in steps]
+            assert origins == expected
+            assert all(type(c) is int for o in origins for c in o)
+
+
+class TestEngineAgainstOracle:
+    """The whole-lattice engine gives exactly the per-cube hoelder_norm."""
+
+    @pytest.mark.parametrize("spec, h", [
+        (SPEC, 1),
+        (SPEC, 2),
+        (LatticeSpec(d=2, L=4.0, m=1.0, gamma=1.5, N=2), 1),  # cubes wrap round
+        (LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2), 1),
+        (LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2), 2),
+        (LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=3), 3),
+    ])
+    @pytest.mark.parametrize("tau", [0, 1])
+    def test_profile_equals_per_cube_norms(self, spec, h, tau):
+        layer = sample_layer(spec, h, 11)
+        origins, norms = layer_norm_profile(layer, tau=tau)
+        _, side = pavement_cubes(spec, h)
+        assert norms == [hoelder_norm(layer.z, spec, o, side, tau) for o in origins]
+
+    @pytest.mark.parametrize("spec, h, B_grid", [
+        (SPEC, 2, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]),
+        (LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2), 2, [0.8, 1.0, 1.2, 1.4, 1.6]),
+    ])
+    def test_tail_maxima_equal_per_sample_loop(self, spec, h, B_grid):
+        stats = tail_stats(spec, h, B_grid=B_grid, n_samples=1000, seed=5, tau=1)
+        loop = [max(layer_norm_profile(sample_layer(spec, h, 5 + i), level=h, tau=1)[1])
+                for i in range(1000)]
+        assert np.array_equal(stats["maxima"], np.array(loop))
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=3),
+        LatticeSpec(d=2, L=4.0, m=1.0, gamma=1.5, N=2),
+    ])
+    def test_batched_sampling_equals_single_draws(self, spec):
+        # one unbatched FFT per seed, the sampler written out
+        h, seeds = 2, range(40, 80)
+        root_w = np.sqrt(_range_weights(spec, h - 1, h))
+        single = []
+        for s in seeds:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(h,)))
+            noise = rng.standard_normal(spec.shape)
+            single.append(np.fft.ifftn(root_w * np.fft.fftn(noise)).real
+                          * spec.a ** (-spec.d / 2.0))
+        batch = np.concatenate(list(_band_fields(spec, h, seeds)))
+        assert np.array_equal(batch, np.stack(single))
+        assert np.array_equal(sample_layer(spec, h, 41).values, single[1])
+
 
 def _brute_force_norm(layer, origin, side, eps=0.25):
     """max of |z_x| + |z_x - z_eta| / |x - eta|^eps over x in the cube and
@@ -162,6 +222,21 @@ class TestRegions:
     def test_d2_has_no_pair_regions(self):
         fld = make_field()
         assert classify_regions(fld, 1, 1.0).D2 == []
+
+    def test_pair_regions_match_explicit_loop(self):
+        spec = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=3)
+        fld = make_field(spec, seed=2)
+        h, B = 2, 0.02
+        cls = classify_regions(fld, h, B)
+        disps, Y = fld.Y(h)
+        expected = []
+        for k, delta in enumerate(disps):
+            for eta in np.ndindex(spec.shape):
+                if abs(Y[k][eta]) > B * h ** 4:
+                    etap = tuple((c + int(dd)) % spec.n_side for c, dd in zip(eta, delta))
+                    expected.append((eta, etap))
+        assert expected
+        assert cls.D2 == expected
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
