@@ -3,20 +3,28 @@ and the per-scale remainder bound.
 
 A potential is stored as a finite sum of monomial terms: for each pair
 (order in lambda, degree in the field) a dense kernel on lattice tuples.
-This is a desk-scale verification engine: kernels are exact, cumulants are
-computed by explicit Gaussian contraction against a band covariance, and the
-sizes are guarded so only tiny lattices are accepted.
+This is a desk-scale verification engine: kernels are exact and the sizes
+are guarded so only tiny lattices are accepted.
 
 One recursion step integrates one scale band:
 
     V_{j;h-1} = [ <V> + (<V^2> - <V>^2)/2! + third-cumulant/3! ]^(<= j)
 
 where <.> is the exact Gaussian expectation over the scale-h layer and the
-truncation keeps lambda-orders up to j.
+truncation keeps lambda-orders up to j.  The expectation of a kernel K is
+E[K(phi + zeta)] = exp(Delta_C / 2) K, where Delta_C / 2 acts on a kernel
+as the sum over index pairs i < j of contracting axes i and j with the band
+covariance C.  The exponential series is applied one pair-contraction step
+at a time: its q-th term, divided by q!, is the sum over sets of q disjoint
+index pairs, because each such set comes up q! times among the ordered
+sequences of q steps.  So <V> is Isserlis' sum over partial pairings,
+computed with sum_q C(k - 2q, 2) contractions for a degree-k kernel
+instead of one per partial pairing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -44,23 +52,6 @@ __all__ = [
 ]
 
 MAX_TENSOR_ENTRIES = 50_000_000
-
-
-def _partial_pairings(k):
-    """All sets of disjoint index pairs of range(k), including the empty set."""
-    def rec(ix):
-        if not ix:
-            yield ()
-            return
-        first, rest = ix[0], ix[1:]
-        # first stays unpaired
-        for sub in rec(rest):
-            yield sub
-        # first pairs with a later index
-        for i in range(len(rest)):
-            for sub in rec(rest[:i] + rest[i + 1:]):
-                yield ((first, rest[i]),) + sub
-    yield from rec(list(range(k)))
 
 
 @dataclass
@@ -107,13 +98,7 @@ class PotentialFunctional:
             for (o2, k2), ker2 in other.terms.items():
                 if o1 + o2 > jmax:
                     continue
-                if k1 == 0:
-                    prod = ker1 * ker2
-                elif k2 == 0:
-                    prod = np.asarray(ker1) * ker2
-                else:
-                    prod = np.tensordot(np.asarray(ker1), np.asarray(ker2), axes=0)
-                out.add_term(o1 + o2, k1 + k2, prod)
+                out.add_term(o1 + o2, k1 + k2, np.multiply.outer(ker1, ker2))
         return out
 
     def truncate(self, jmax: int) -> "PotentialFunctional":
@@ -127,32 +112,22 @@ class PotentialFunctional:
         """Expectation over a Gaussian layer with covariance matrix ``cov``.
 
         Substitutes field -> lower field + layer and integrates the layer
-        exactly: every partial pairing of each kernel's indices is contracted
-        with the layer covariance, the unpaired indices remain as field slots.
+        exactly, E[K(phi + zeta)] = exp(Delta_C / 2) K.  With L the sum over
+        index pairs i < j of contracting axes (i, j) with ``cov``, the terms
+        are t_0 = K and t_q = L(t_(q-1)) / q = L^q K / q!, the degree k - 2q
+        part with the unpaired indices in their original order.  Each set of
+        q disjoint pairs arises q! times among the ordered sequences of q
+        L-steps, so t_q is the sum over the partial pairings of K's indices
+        with q pairs.  Degree-0 terms are floats.
         """
-        letters = "abcdefghijklmnopqrst"
         out = PotentialFunctional(self.spec, new_h)
-        for (o, k), ker in self.terms.items():
-            if k == 0:
-                out.add_term(o, 0, ker)
-                continue
-            ker = np.asarray(ker)
-            for pairing in _partial_pairings(k):
-                if not pairing:
-                    out.add_term(o, k, ker)
-                    continue
-                paired = {i for pr in pairing for i in pr}
-                keep = [i for i in range(k) if i not in paired]
-                subs = [letters[:k]]
-                operands = [ker]
-                for i1, i2 in pairing:
-                    subs.append(letters[i1] + letters[i2])
-                    operands.append(cov)
-                expr = ",".join(subs) + "->" + "".join(letters[i] for i in keep)
-                contracted = np.einsum(expr, *operands, optimize=True)
-                if not keep:
-                    contracted = float(contracted)
-                out.add_term(o, k - len(paired), contracted)
+        for (o, k), t in self.terms.items():
+            out.add_term(o, k, t)
+            for q in range(1, k // 2 + 1):
+                axes = list(range(t.ndim))
+                t = sum(np.einsum(t, axes, cov, [i, j], [a for a in axes if a not in (i, j)])
+                        for i, j in itertools.combinations(axes, 2)) / q
+                out.add_term(o, k - 2 * q, float(t) if t.ndim == 0 else t)
         return out
 
     def evaluate(self, phi, lam: float) -> float:
@@ -261,8 +236,7 @@ def truncated_integrate(V: PotentialFunctional, j: int,
         m2 = V2.gauss_expect(band_cov, h - 1)
         out = out.plus(m2.plus(m1.times(m1, j).scaled(-1.0)).scaled(0.5))
     if j >= 3:
-        V3 = V.times(V, j).times(V, j)
-        m3 = V3.gauss_expect(band_cov, h - 1)
+        m3 = V2.times(V, j).gauss_expect(band_cov, h - 1)
         cross = m1.times(m2, j).scaled(-3.0)
         cube = m1.times(m1, j).times(m1, j).scaled(2.0)
         out = out.plus(m3.plus(cross).plus(cube).scaled(1.0 / 6.0))

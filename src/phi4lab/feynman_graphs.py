@@ -94,22 +94,28 @@ class FeynmanGraph:
 
     @property
     def connected(self) -> bool:
-        k = len(self.elements)
-        if k == 1:
-            return True
-        parent = list(range(k))
+        return len(_components(len(self.elements), self.lines())) == 1
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
 
-        for u, v in self.lines():
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        return len({find(i) for i in range(k)}) == 1
+def _components(k, lines):
+    """Vertex sets of the connected components of a graph on range(k), by
+    union-find over its lines, in order of each component's least vertex."""
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for u, v in lines:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    comps = {}
+    for i in range(k):
+        comps.setdefault(find(i), set()).add(i)
+    return list(comps.values())
 
 
 def trivial_vacuum_graph() -> FeynmanGraph:
@@ -372,8 +378,6 @@ def vacuum_density_poly(spec: LatticeSpec, kernel: PropagatorKernel,
     for n in range(0, order + 1):
         for p in range(0, order + 1 - n):
             if n == 0 and p == 0:
-                continue
-            if (4 * n + 2 * p) % 2:
                 continue
             part = _family_poly(n, p, 0, kernel, np.zeros(spec.n_sites),
                                 mu_poly, order)

@@ -128,13 +128,19 @@ class MultiscaleField:
         the value (phi_x - phi_{x+delta_k}) / (gamma^h |delta_k|)^eps.
         """
         h = self.spec.N if h is None else h
+        disps, _ = _short_displacements(self.spec)
+        out = np.empty((len(disps),) + self.spec.shape)
+        for k, (_, y) in enumerate(self._pair_fields(h, eps)):
+            out[k] = y
+        return disps, out
+
+    def _pair_fields(self, h: int, eps: float):
+        """(delta_k, Y^(h)[k]) one short displacement at a time."""
         p = self.phi(h)
         disps, dists = _short_displacements(self.spec)
-        out = np.empty((len(disps),) + self.spec.shape)
-        for k, (delta, r) in enumerate(zip(disps, dists)):
+        for delta, r in zip(disps, dists):
             shifted = np.roll(p, shift=[-int(c) for c in delta], axis=tuple(range(self.spec.d)))
-            out[k] = (p - shifted) / (self.spec.gamma ** h * r) ** eps
-        return disps, out
+            yield delta, (p - shifted) / (self.spec.gamma ** h * r) ** eps
 
 
 def _short_displacements(spec: LatticeSpec):
@@ -320,12 +326,12 @@ def classify_regions(fld: MultiscaleField, h: int, B: float,
     d1 = list(map(tuple, np.argwhere(np.abs(X) > B * h ** 4).tolist()))
     d2 = []
     if spec.d == 3:
-        disps, Y = fld.Y(h, eps=eps)
-        # rows (k, eta): displacement outer, sites in C order inner
-        hits = np.argwhere(np.abs(Y, out=Y) > B * h ** 4)
-        eta = hits[:, 1:]
-        etap = (eta + np.array(disps, dtype=int).reshape(-1, spec.d)[hits[:, 0]]) % spec.n_side
-        d2 = list(zip(map(tuple, eta.tolist()), map(tuple, etap.tolist())))
+        # displacement outer, sites in C order inner
+        for delta, y in fld._pair_fields(h, eps):
+            eta = np.argwhere(np.abs(y) > B * h ** 4)
+            if len(eta):
+                etap = (eta + np.array(delta, dtype=int)) % spec.n_side
+                d2.extend(zip(map(tuple, eta.tolist()), map(tuple, etap.tolist())))
     origins, norms = layer_norm_profile(fld.layers[h], level=h, tau=tau, eps=eps)
     bad = [origin for origin, norm in zip(origins, norms) if norm > B * h ** 2]
     return RegionClassification(B=B, h=h, D1=d1, D2=d2, R=bad, chi_B=1 if not bad else 0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .feynman_graphs import FeynmanGraph
+from .feynman_graphs import FeynmanGraph, _components
 
 __all__ = [
     "ScaledGraph",
@@ -94,9 +94,8 @@ def build_clusters(sg: ScaledGraph) -> ClusterTree:
     for h in sorted(set(sg.line_scales)):
         comp = _components(k, [l for l, s in zip(lines, sg.line_scales) if s >= h])
         for members in comp:
-            has_exact = any(s == h and set(l) <= members
-                            for l, s in zip(lines, sg.line_scales))
-            if has_exact and len([l for l, s in zip(lines, sg.line_scales) if s >= h and set(l) <= members]) > 0:
+            if any(s == h and set(l) <= members
+                   for l, s in zip(lines, sg.line_scales)):
                 nodes.append(ClusterNode(h=h, vertices=frozenset(members)))
     for v in range(k):
         nodes.append(ClusterNode(h=sg.N + 1, vertices=frozenset([v]), trivial=True))
@@ -117,25 +116,6 @@ def build_clusters(sg: ScaledGraph) -> ClusterTree:
     tree = ClusterTree(root=root, N=sg.N)
     _fill_stats(tree, sg)
     return tree
-
-
-def _components(k, lines):
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for u, v in lines:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comps = {}
-    for i in range(k):
-        comps.setdefault(find(i), set()).add(i)
-    return list(comps.values())
 
 
 def _fill_stats(tree: ClusterTree, sg: ScaledGraph):

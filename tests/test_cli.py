@@ -85,6 +85,11 @@ class TestSubcommands:
         scales = [entry["scale"] for entry in flow]
         assert scales == [2, 1, 0]
 
+    def test_rgflow_order_three_check(self, runner, tmp_path):
+        # default 4-site lattice (d=2, L=1, gamma=2, N=1)
+        run_ok(runner, ["rgflow", "--cutoff", "1", "--order", "3", "--check",
+                        "--out", str(tmp_path)])
+
     def test_rgflow_infeasible_exits_3(self, runner, tmp_path):
         result = runner.invoke(main, ["rgflow", "--cutoff", "3", "--order", "2",
                                       "--out", str(tmp_path)])

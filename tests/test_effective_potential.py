@@ -81,6 +81,82 @@ class TestFunctionalAlgebra:
         assert np.allclose(out.terms[(1, 2)], np.eye(REF.n_sites))
 
 
+def _partial_pairings(k):
+    """All sets of disjoint index pairs of range(k), including the empty set."""
+    def rec(ix):
+        if not ix:
+            yield ()
+            return
+        first, rest = ix[0], ix[1:]
+        yield from rec(rest)
+        for i in range(len(rest)):
+            for sub in rec(rest[:i] + rest[i + 1:]):
+                yield ((first, rest[i]),) + sub
+    yield from rec(list(range(k)))
+
+
+def pairing_sum(terms, cov):
+    """Oracle for gauss_expect: every partial pairing of each kernel's indices
+    contracted with cov by one einsum, the unpaired indices left in order."""
+    letters = "abcdefghijklmnopqrst"
+    out = {}
+    for (o, k), ker in terms.items():
+        ker = np.asarray(ker)
+        if not np.any(ker):
+            # every pairing of a zero kernel contracts to exactly zero
+            for q in range(k // 2 + 1):
+                out.setdefault((o, k - 2 * q), np.zeros(ker.shape[2 * q:]))
+            continue
+        for pairing in _partial_pairings(k):
+            keep = [i for i in range(k) if all(i not in pr for pr in pairing)]
+            subs = [letters[:k]] + [letters[i1] + letters[i2] for i1, i2 in pairing]
+            expr = ",".join(subs) + "->" + "".join(letters[i] for i in keep)
+            term = np.einsum(expr, ker, *[cov] * len(pairing), optimize=True)
+            key = (o, len(keep))
+            out[key] = out[key] + term if key in out else term
+    return out
+
+
+def assert_matches_pairing_sum(V, cov):
+    """gauss_expect equals the pairing sum entry by entry, within 1e-13 of the
+    entry's sum of absolute pairing contributions (its rounding scale)."""
+    got = V.gauss_expect(cov, V.h - 1).terms
+    want = pairing_sum(V.terms, cov)
+    scale = pairing_sum({key: np.abs(ker) for key, ker in V.terms.items()}, np.abs(cov))
+    assert got.keys() == want.keys()
+    for key in want:
+        if key[1] == 0:
+            assert isinstance(got[key], float)
+        err = np.abs(np.asarray(got[key]) - want[key])
+        assert np.all(err <= 1e-13 * scale[key]), (key, np.max(err / scale[key]))
+
+
+class TestGaussExpectOracle:
+    def test_random_kernels_mixed_orders(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(3, 3))
+        cov = a @ a.T + 0.5 * np.eye(3)
+        # gauss_expect reads only the kernels and cov: 3-site kernels in a REF container
+        V = PotentialFunctional(REF, 2)
+        for degree in range(9):
+            for order in (degree % 3, 3):
+                V.add_term(order, degree, float(rng.normal()) if degree == 0
+                           else rng.normal(size=(3,) * degree))
+        assert_matches_pairing_sum(V, cov)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("f", [None, (0.6, -0.4, 0.2, 0.5)])
+    def test_every_step_of_ref_flow(self, j, f):
+        cts = counterterms(REF, LAM, nu_order=j)
+        V = bare_potential(REF, None if f is None else np.asarray(f), cts, LAM, jmax=j)
+        for h in range(REF.N, 0, -1):
+            cov = covariance_band(REF, h).matrix()
+            assert_matches_pairing_sum(V, cov)
+            if j >= 2:
+                assert_matches_pairing_sum(V.times(V, j), cov)
+            V = truncated_integrate(V, j)
+
+
 class TestMartingale:
     def test_wick_quartic_maps_to_wick_quartic(self):
         V = wick_quartic_potential(REF, 2, covariance_cumulative(REF, 2).at_zero)
@@ -104,14 +180,21 @@ class TestMartingale:
             truncated_integrate(V, 4)
 
 
+def assert_three_way_agreement(spec, j):
+    cts = counterterms(spec, LAM, nu_order=0)
+    flow = flow_constant(spec, LAM, None, j, cts)
+    series = logZ_series(spec, LAM, None, j, cts=cts).coefficients
+    E0 = field_independent_part(spec, j, 0, LAM, None, cts, per_order=True)
+    assert np.max(np.abs(flow - series)) < 1e-10 * np.max(np.abs(series))
+    assert np.max(np.abs(E0 - series)) < 1e-10 * np.max(np.abs(series))
+
+
 class TestThreeWayAgreement:
     def test_constants_agree_without_vacuum_counterterm(self):
-        cts = counterterms(REF, LAM, nu_order=0)
-        flow = flow_constant(REF, LAM, None, 2, cts)
-        series = logZ_series(REF, LAM, None, 2, cts=cts).coefficients
-        E0 = field_independent_part(REF, 2, 0, LAM, None, cts, per_order=True)
-        assert np.max(np.abs(flow - series)) < 1e-10 * np.max(np.abs(series))
-        assert np.max(np.abs(E0 - series)) < 1e-10 * np.max(np.abs(series))
+        assert_three_way_agreement(REF, 2)
+
+    def test_order_three_on_four_sites(self):
+        assert_three_way_agreement(LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=1), 3)
 
     def test_renormalized_constants_vanish(self):
         cts = counterterms(REF, LAM)
