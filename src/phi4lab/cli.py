@@ -304,7 +304,10 @@ def stability(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt
             cfg = replace(cfg, method="MC")
         params = {"lambda": lam, "order": order, "seed": seed, "method": cfg.method}
         if cfg.method == "MC":
-            params["samples"] = cfg.n_samples
+            params["samples"], params["samples_requested"] = cfg.n_samples, samples
+            if cfg.n_samples != samples:
+                click.echo(f"note: --samples {samples} raised to {cfg.n_samples}, "
+                           "the fewest the MC estimators use", err=True)
         else:
             params["quadrature_nodes"] = cfg.gh_nodes ** spec.n_sites
         _write_manifest(out, "stability", spec, params)

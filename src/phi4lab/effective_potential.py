@@ -79,17 +79,23 @@ class PotentialFunctional:
         else:
             self.terms[(order, degree)] = kernel
 
-    def scaled(self, factor: float) -> "PotentialFunctional":
-        out = PotentialFunctional(self.spec, self.h)
-        for (o, k), ker in self.terms.items():
-            out.add_term(o, k, ker * factor)
-        return out
+    def scale(self, factor: float) -> "PotentialFunctional":
+        """Scale every kernel in place; returns self."""
+        for key in self.terms:
+            self.terms[key] *= factor
+        return self
 
-    def plus(self, other: "PotentialFunctional") -> "PotentialFunctional":
-        out = self.copy()
-        for (o, k), ker in other.terms.items():
-            out.add_term(o, k, ker)
-        return out
+    def add_into(self, acc: "PotentialFunctional") -> "PotentialFunctional":
+        """self + acc, summed into acc's kernels in place (acc must own them).
+        Terms come in self's order, then acc's others, as in a copying sum:
+        later steps add contributions in term order.  Returns acc."""
+        for key, ker in self.terms.items():
+            if key in acc.terms:
+                acc.terms[key] += ker
+            else:
+                acc.terms[key] = ker if np.isscalar(ker) else ker.copy()
+        acc.terms = {**{key: acc.terms[key] for key in self.terms}, **acc.terms}
+        return acc
 
     def times(self, other: "PotentialFunctional", jmax: int) -> "PotentialFunctional":
         """Functional product, truncated to lambda-order jmax."""
@@ -98,7 +104,11 @@ class PotentialFunctional:
             for (o2, k2), ker2 in other.terms.items():
                 if o1 + o2 > jmax:
                     continue
-                out.add_term(o1 + o2, k1 + k2, np.multiply.outer(ker1, ker2))
+                key, prod = (o1 + o2, k1 + k2), np.multiply.outer(ker1, ker2)
+                if key in out.terms:
+                    out.terms[key] += prod  # out owns every kernel it holds
+                else:
+                    out.add_term(*key, prod)
         return out
 
     def truncate(self, jmax: int) -> "PotentialFunctional":
@@ -229,17 +239,21 @@ def truncated_integrate(V: PotentialFunctional, j: int,
         band_cov = covariance_band(spec, h)
     if hasattr(band_cov, "matrix"):
         band_cov = band_cov.matrix()
+    # Cumulants are summed in place, in the order of the copying sums (so the
+    # kernels are the same); each big operand is dropped once used.
     m1 = V.gauss_expect(band_cov, h - 1)
     out = m1.truncate(j)
     if j >= 2:
         V2 = V.times(V, j)
         m2 = V2.gauss_expect(band_cov, h - 1)
-        out = out.plus(m2.plus(m1.times(m1, j).scaled(-1.0)).scaled(0.5))
+        out = out.add_into(m2.add_into(m1.times(m1, j).scale(-1.0)).scale(0.5))
     if j >= 3:
-        m3 = V2.times(V, j).gauss_expect(band_cov, h - 1)
-        cross = m1.times(m2, j).scaled(-3.0)
-        cube = m1.times(m1, j).times(m1, j).scaled(2.0)
-        out = out.plus(m3.plus(cross).plus(cube).scaled(1.0 / 6.0))
+        third = m1.times(m2, j).scale(-3.0)
+        del m2
+        third = V2.times(V, j).gauss_expect(band_cov, h - 1).add_into(third)
+        del V2
+        cube = m1.times(m1, j).times(m1, j).scale(2.0)
+        out = out.add_into(third.add_into(cube).scale(1.0 / 6.0))
     return out.truncate(j)
 
 

@@ -2,13 +2,16 @@
 
 Estimates log(Z(f)/Z(0)) either by exact Gauss-Hermite quadrature over the
 diagonalized covariance or by Monte Carlo with shared randomness between
-numerator and denominator.  Quadrature is the sampling-free ground truth: one
-dense tensor grid of gh_nodes ** n_sites nodes, feasible while that count is
-at most QUADRATURE_NODE_CAP = 32^4 and refused beyond it with
-InfeasibleSizeError (CLI exit 3) before any array is built.  Compares the
-estimates with the truncated series inside a remainder envelope and measures
-the non-Gaussian fourth cumulant of the source-coupled field.
-"""
+numerator and denominator.  Quadrature is the sampling-free ground truth on
+one dense tensor grid of gh_nodes ** n_sites nodes, feasible while that count
+is at most QUADRATURE_NODE_CAP = 32^4 and refused beyond it with
+InfeasibleSizeError (CLI exit 3) before any array is built.  The grid's
+weights and per-node sums of phi^2 and phi^4, which depend on neither lambda
+nor f, are built once per (spec, gh_nodes) and kept for the last four grids;
+a call adds lambda, the counterterms and the source term f . phi in O(nodes).
+Fields are laid out site-major, (sites, nodes or samples), on both paths.
+Compares the estimates with the truncated series inside a remainder envelope
+and measures the non-Gaussian fourth cumulant of the source-coupled field."""
 
 from __future__ import annotations
 
@@ -98,18 +101,15 @@ def quadrature_feasible(spec: LatticeSpec, gh_nodes: int) -> bool:
     return gh_nodes ** spec.n_sites <= QUADRATURE_NODE_CAP
 
 
-def _interaction_log_density(cfg: ExperimentConfig, phi: np.ndarray,
-                             cts: Counterterms, t_values) -> dict:
-    """V_t = -a^d sum_x (lambda phi^4 + mu phi^2 + nu + t f phi) for each t,
-    vectorized over leading axes of phi (site axis last).  The t-independent
-    part is computed once."""
+def _interaction_log_density(cfg: ExperimentConfig, cts: Counterterms, s4, s2, lin,
+                             t_values) -> dict:
+    """V_t = -a^d sum_x (lambda phi^4 + mu phi^2 + nu + t f phi) for each t, from
+    the per-node (or per-sample) sums s4 = sum_x phi_x^4, s2 = sum_x phi_x^2
+    and lin = sum_x f_x phi_x.  The t-independent part is computed once."""
     spec = cfg.spec
     w = spec.a ** spec.d
-    f = cfg.f_array
-    quart = cfg.lam * np.sum(phi ** 4, axis=-1)
-    quad = cts.mu * np.sum(phi ** 2, axis=-1)
-    even = quart + quad + cts.nu * spec.n_sites
-    return {t: -w * (even + (t * phi) @ f) for t in t_values}
+    even = cfg.lam * s4 + cts.mu * s2 + cts.nu * spec.n_sites
+    return {t: -w * (even + t * lin) for t in t_values}
 
 
 def _gauss_hermite(nodes: int):
@@ -125,6 +125,33 @@ def _mode_basis(spec: LatticeSpec):
     return evecs * np.sqrt(evals)[None, :]  # phi = A @ y, y ~ N(0, I)
 
 
+@functools.lru_cache(maxsize=4)
+def _node_grid(spec: LatticeSpec, gh_nodes: int):
+    """The lambda- and f-independent part of the quadrature on the tensor grid
+    of gh_nodes ** n_sites nodes y (row-major over the modes), phi = A y:
+    (weights, s2, s4, x, A) with per-node vectors weights, s2 = sum_x phi_x^2
+    and s4 = sum_x phi_x^4, the 1-D nodes x and the mode basis A.  phi exists,
+    site-major (sites, nodes), only while the sums are taken.  The arrays are
+    read-only.  At QUADRATURE_NODE_CAP nodes an entry holds 24 MiB, so the
+    cache at most 96 MiB; a build needs 64 MiB more while it runs.  A grid
+    over the cap raises InfeasibleSizeError before any array is built."""
+    if not quadrature_feasible(spec, gh_nodes):
+        raise InfeasibleSizeError(
+            f"{gh_nodes}^{spec.n_sites} quadrature nodes exceed the cap of "
+            f"{QUADRATURE_NODE_CAP}")
+    n = spec.n_sites
+    x, w = _gauss_hermite(gh_nodes)
+    A = _mode_basis(spec)
+    weights = functools.reduce(np.multiply.outer, [w] * n).ravel()
+    y = np.array(np.meshgrid(*([x] * n), indexing="ij", copy=False)).reshape(n, -1)
+    phi = A @ y  # site-major (sites, nodes)
+    s2 = np.square(phi, out=y).sum(axis=0)
+    s4 = np.power(phi, 4.0, out=phi).sum(axis=0)  # phi**4 to the last bit
+    for arr in (weights, s2, s4, x, A):
+        arr.setflags(write=False)
+    return weights, s2, s4, x, A
+
+
 def _log_mean_exp(logs: np.ndarray, weights: np.ndarray) -> float:
     m = float(np.max(logs))
     return m + math.log(float(np.sum(weights * np.exp(logs - m))))
@@ -133,17 +160,10 @@ def _log_mean_exp(logs: np.ndarray, weights: np.ndarray) -> float:
 def _quadrature_log_ratio(cfg: ExperimentConfig, cts: Counterterms,
                           t_values=(1.0,)) -> dict:
     """log Z(t f) - log Z(0) for each t, on the dense Gauss-Hermite tensor grid."""
-    spec = cfg.spec
-    n_modes = spec.n_sites
-    if not quadrature_feasible(spec, cfg.gh_nodes):
-        raise InfeasibleSizeError(
-            f"{cfg.gh_nodes}^{n_modes} quadrature nodes exceed the cap of "
-            f"{QUADRATURE_NODE_CAP}")
-    x, w = _gauss_hermite(cfg.gh_nodes)
-    y = np.stack(np.meshgrid(*([x] * n_modes), indexing="ij"), axis=-1).reshape(-1, n_modes)
-    weights = functools.reduce(np.multiply.outer, [w] * n_modes).ravel()
-    phi = y @ _mode_basis(spec).T
-    logs = _interaction_log_density(cfg, phi, cts, [*t_values, 0.0])
+    weights, s2, s4, x, A = _node_grid(cfg.spec, cfg.gh_nodes)
+    # f . phi = sum_k (A^T f)_k y_k, an outer sum over the modes
+    lin = functools.reduce(np.add.outer, [c * x for c in A.T @ cfg.f_array]).ravel()
+    logs = _interaction_log_density(cfg, cts, s4, s2, lin, [*t_values, 0.0])
     z0 = _log_mean_exp(logs[0.0], weights)
     return {t: _log_mean_exp(logs[t], weights) - z0 for t in t_values}
 
@@ -153,8 +173,11 @@ def _mc_log_ratio(cfg: ExperimentConfig, cts: Counterterms, t_values=(1.0,)) -> 
     spec = cfg.spec
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
     y = rng.standard_normal((cfg.n_samples, spec.n_sites))
-    phi = y @ _mode_basis(spec).T
-    logs = _interaction_log_density(cfg, phi, cts, [*t_values, 0.0])
+    phi = _mode_basis(spec) @ y.T  # site-major (sites, samples)
+    lin = cfg.f_array @ phi
+    s2 = np.square(phi, out=phi).sum(axis=0)
+    s4 = np.square(phi, out=phi).sum(axis=0)  # per call: a square is far cheaper than pow
+    logs = _interaction_log_density(cfg, cts, s4, s2, lin, [*t_values, 0.0])
     v0 = logs[0.0]
     out = {}
     for t in t_values:
@@ -290,6 +313,13 @@ def stability_envelope(cfg: ExperimentConfig, N_range, tail: float = 0.0) -> dic
             "inside": spread <= 2 * envelope if reports else True}
 
 
+def _smeared_source(spec: LatticeSpec, f: np.ndarray) -> np.ndarray:
+    """a^d (C f) for C = C^(<=N), by FFT: C is circulant, with the mode weights
+    as its spectrum, so no dense matrix is built."""
+    weights = covariance_cumulative(spec, spec.N).mode_weights
+    return np.fft.ifftn(weights * np.fft.fftn(f.reshape(spec.shape))).real.ravel()
+
+
 def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5,
                    cts: Counterterms | None = None) -> dict:
     """Fourth cumulant of the source coupling via a 5-point stencil.
@@ -310,8 +340,7 @@ def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5,
     else:
         g = {t: raw for t, (raw, _) in _mc_log_ratio(cfg, cts, ts).items()}
     kappa4 = (g[-2 * delta] - 4 * g[-delta] - 4 * g[delta] + g[2 * delta]) / delta ** 4
-    kernel = covariance_cumulative(spec, spec.N)
-    conv = kernel.matrix() @ cfg.f_array * spec.a ** spec.d
+    conv = _smeared_source(spec, cfg.f_array)
     prediction = -math.factorial(4) * cfg.lam * spec.a ** spec.d * float(np.sum(conv ** 4))
     return {"kappa4": float(kappa4), "prediction": prediction,
             "relative_gap": (abs(kappa4 - prediction) / abs(prediction)

@@ -107,12 +107,15 @@ class TestSubcommands:
         assert "samples" not in params
 
     def test_stability_mc_manifest(self, runner, tmp_path):
-        run_ok(runner, ["stability", "--lambda", "0", "--samples", "10",
-                        "--out", str(tmp_path)])
-        # the sample count is raised to the 1000 the estimators need, and recorded so
+        result = run_ok(runner, ["stability", "--lambda", "0", "--samples", "10",
+                                 "--out", str(tmp_path)])
+        # the sample count is raised to the 1000 the estimators need, said on
+        # stderr and recorded next to the requested count
+        assert "--samples 10 raised to 1000" in result.stderr
         params = json.loads((tmp_path / "manifest.json").read_text())["params"]
         assert params["method"] == "MC"
         assert params["samples"] == 1000
+        assert params["samples_requested"] == 10
         assert "quadrature_nodes" not in params
 
     def test_stability_oversized_grid_exits_3(self, runner, tmp_path):

@@ -157,6 +157,60 @@ class TestGaussExpectOracle:
             V = truncated_integrate(V, j)
 
 
+def copying_truncated_integrate(V, j, cov):
+    """One recursion step with a fresh functional for every sum and scaling."""
+    def plus(a, b):
+        out = a.copy()
+        for (o, k), ker in b.terms.items():
+            out.add_term(o, k, ker)
+        return out
+
+    def scaled(a, factor):
+        out = PotentialFunctional(a.spec, a.h)
+        for (o, k), ker in a.terms.items():
+            out.add_term(o, k, ker * factor)
+        return out
+
+    m1 = V.gauss_expect(cov, V.h - 1)
+    out = m1.truncate(j)
+    if j >= 2:
+        V2 = V.times(V, j)
+        m2 = V2.gauss_expect(cov, V.h - 1)
+        out = plus(out, scaled(plus(m2, scaled(m1.times(m1, j), -1.0)), 0.5))
+    if j >= 3:
+        m3 = V2.times(V, j).gauss_expect(cov, V.h - 1)
+        cross = scaled(m1.times(m2, j), -3.0)
+        cube = scaled(m1.times(m1, j).times(m1, j), 2.0)
+        out = plus(out, scaled(plus(plus(m3, cross), cube), 1.0 / 6.0))
+    return out.truncate(j)
+
+
+class TestInPlaceCumulants:
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical_to_copying_sums(self, j, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3, 3))
+        cov = a @ a.T + 0.5 * np.eye(3)
+        # 3-site kernels in a REF container; random gaps in the (order, degree)
+        # grid leave terms that only one side of a sum has
+        V = PotentialFunctional(REF, 2)
+        for order in range(4):
+            for degree in range(3):
+                if rng.random() < 0.8:
+                    V.add_term(order, degree, float(rng.normal()) if degree == 0
+                               else rng.normal(size=(3,) * degree))
+        got, want = V, V.copy()
+        # a second j = 3 step would exceed the kernel size guard
+        for _ in range(2 if j < 3 else 1):
+            got = truncated_integrate(got, j, cov)
+            want = copying_truncated_integrate(want, j, cov)
+            # the term order decides the summation order of the next step
+            assert list(got.terms) == list(want.terms)
+            for key, ker in want.terms.items():
+                assert np.asarray(got.terms[key]).tobytes() == np.asarray(ker).tobytes()
+
+
 class TestMartingale:
     def test_wick_quartic_maps_to_wick_quartic(self):
         V = wick_quartic_potential(REF, 2, covariance_cumulative(REF, 2).at_zero)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,10 +12,16 @@ from phi4lab import (
     stability_envelope,
     nongaussianity,
 )
+from phi4lab.feynman_graphs import counterterms
 from phi4lab.stability_lab import (
     InfeasibleSizeError,
     QUADRATURE_NODE_CAP,
+    _gauss_hermite,
+    _mode_basis,
+    _node_grid,
+    _quadrature_log_ratio,
     _refine_source,
+    _smeared_source,
     calibrate_Cj,
     quadrature_feasible,
     series_prediction,
@@ -150,6 +157,59 @@ class TestEstimators:
         assert series_prediction(cfg) != 0.0
 
 
+def oracle_log_ratio(cfg, cts, t_values):
+    """log Z(t f) - log Z(0) on the node-major grid: phi = y A^T with one row
+    per node, the interaction summed over the trailing site axis."""
+    spec = cfg.spec
+    n = spec.n_sites
+    x, w = _gauss_hermite(cfg.gh_nodes)
+    y = np.stack(np.meshgrid(*([x] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    weights = functools.reduce(np.multiply.outer, [w] * n).ravel()
+    phi = y @ _mode_basis(spec).T
+    even = (cfg.lam * np.sum(phi ** 4, axis=-1) + cts.mu * np.sum(phi ** 2, axis=-1)
+            + cts.nu * n)
+
+    def log_mean_exp(logs):
+        m = np.max(logs)
+        return m + math.log(np.sum(weights * np.exp(logs - m)))
+
+    z0 = log_mean_exp(-spec.a ** spec.d * even)
+    return {t: log_mean_exp(-spec.a ** spec.d * (even + (t * phi) @ cfg.f_array)) - z0
+            for t in t_values}
+
+
+class TestQuadratureGrid:
+    T_VALUES = (-1.0, -0.5, 0.3, 0.5, 1.0)
+
+    @pytest.mark.parametrize("spec, f, gh", [(REF, F, 12), (REF, F, 16), (REF, F, 20),
+                                             (CUBE, F8, 4)])
+    def test_matches_node_major_oracle(self, spec, f, gh):
+        cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, gh_nodes=gh)
+        cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
+        got = _quadrature_log_ratio(cfg, cts, self.T_VALUES)
+        want = oracle_log_ratio(cfg, cts, self.T_VALUES)
+        for t in self.T_VALUES:
+            assert got[t] == pytest.approx(want[t], rel=1e-12, abs=0)
+
+    def test_grid_is_cached_per_spec_and_nodes(self):
+        _node_grid.cache_clear()
+        for lam, f in ((0.02, F), (0.07, (0.1, 0.9, -0.3, 0.0))):
+            cfg = ExperimentConfig(spec=REF, lam=lam, f=f, gh_nodes=12)
+            _quadrature_log_ratio(cfg, counterterms(REF, lam, nu_order=1))
+        info = _node_grid.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        for arr in _node_grid(REF, 12):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+
+    def test_refused_grid_is_not_cached(self):
+        _node_grid.cache_clear()
+        with pytest.raises(InfeasibleSizeError):
+            _node_grid(CUBE, 32)
+        assert _node_grid.cache_info().currsize == 0
+
+
 class TestEnvelopeSweep:
     def test_fixed_volume_sweep_stays_inside(self):
         base = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=1)
@@ -183,6 +243,13 @@ class TestNonGaussianity:
             cfg = ExperimentConfig(spec=REF, lam=lam, f=F, method="exact-quadrature")
             gaps.append(nongaussianity(cfg)["relative_gap"])
         assert gaps[1] < gaps[0]
+
+    @pytest.mark.parametrize("spec", [REF, LatticeSpec(d=3, L=1, m=1, gamma=2, N=3)])
+    def test_fft_source_smearing_matches_dense_product(self, spec):
+        f = np.random.default_rng(5).uniform(-1.0, 1.0, spec.n_sites)
+        dense = covariance_cumulative(spec, spec.N).matrix() @ f * spec.a ** spec.d
+        err = np.max(np.abs(_smeared_source(spec, f) - dense))
+        assert err <= 1e-13 * np.max(np.abs(dense))
 
     def test_stencil_guard(self):
         cfg = ExperimentConfig(spec=REF, lam=0.02, f=F)
