@@ -290,18 +290,23 @@ def relevant_split(V: PotentialFunctional, lam: float) -> RelevantSplit:
     X is 1/sqrt(h)).  In d=3 with h < N the canonical pair kernel
     24 lambda^2 (C^(<=h)3 - C^(<=N)3) on (phi_eta - phi_eta')^2 is split off;
     in d=2 that block is identically empty.
+
+    The remainder ``irr`` holds V's own kernels for the terms it leaves as
+    they are (degrees 3 and above 4); every term it changes is a new array,
+    so nothing here writes to V, but a later in-place write to a shared
+    kernel of V or of irr shows in both.
     """
     spec = V.spec
     h = V.h
     n = spec.n_sites
     rel1 = PotentialFunctional(spec, h)
-    irr = V.copy()
-    for (o, k), ker in list(V.terms.items()):
+    irr = PotentialFunctional(spec, h, dict(V.terms))
+    for (o, k), ker in V.terms.items():
         if k in (2, 4):
             diag_vals = np.asarray(ker)[(np.arange(n),) * k]
             diag = _diag_tensor(n, k, diag_vals)
             rel1.add_term(o, k, diag)
-            irr.terms[(o, k)] = irr.terms[(o, k)] - diag
+            irr.terms[(o, k)] = ker - diag
         elif k in (0, 1):
             rel1.add_term(o, k, ker)
             irr.terms[(o, k)] = (ker - ker) if k == 0 else np.zeros_like(ker)

@@ -10,13 +10,14 @@ exact (not approximate) Gaussian sampler and is deterministic given
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice_propagator import LatticeSpec, _range_weights
+from .lattice_propagator import LatticeSpec, _range_weights, _wrapped_windows
 
 __all__ = [
     "FieldLayer",
@@ -63,8 +64,9 @@ def _unit_size(values: np.ndarray, spec: LatticeSpec, h: int) -> np.ndarray:
     return values * spec.gamma ** (-(spec.d - 2) * h / 2.0)
 
 
-# Site values per batched FFT (128 kB of float64 noise).  Larger chunks were
-# no faster for tail_stats on 8^3 and 128^2 lattices and raised peak memory.
+# Site values per batched FFT (128 kB of float64 noise), and per block of
+# shifted fields in _displacement_blocks.  Larger chunks were no faster for
+# tail_stats on 8^3 and 128^2 lattices and raised peak memory.
 _CHUNK_SITES = 1 << 14
 
 
@@ -124,35 +126,71 @@ class MultiscaleField:
     def Y(self, h: int | None = None, eps: float = 0.25):
         """Pair field Y^(h) on displacements shorter than 1/m.
 
-        Returns (displacements, array) where array[k] has, for every site x,
-        the value (phi_x - phi_{x+delta_k}) / (gamma^h |delta_k|)^eps.
+        Returns (displacements, array): the read-only (k, d) table of
+        _short_displacements and an array where array[k] has, for every site
+        x, the value (phi_x - phi_{x+delta_k}) / (gamma^h |delta_k|)^eps.
         """
         h = self.spec.N if h is None else h
         disps, _ = _short_displacements(self.spec)
         out = np.empty((len(disps),) + self.spec.shape)
-        for k, (_, y) in enumerate(self._pair_fields(h, eps)):
-            out[k] = y
+        k = 0
+        for block, y in self._pair_fields(h, eps):
+            out[k:k + len(block)] = y
+            k += len(block)
         return disps, out
 
     def _pair_fields(self, h: int, eps: float):
-        """(delta_k, Y^(h)[k]) one short displacement at a time."""
+        """(deltas, Y^(h) on them) per block of _displacement_blocks, the
+        pair values stacked along a leading displacement axis."""
         p = self.phi(h)
-        disps, dists = _short_displacements(self.spec)
-        for delta, r in zip(disps, dists):
-            shifted = np.roll(p, shift=[-int(c) for c in delta], axis=tuple(range(self.spec.d)))
-            yield delta, (p - shifted) / (self.spec.gamma ** h * r) ** eps
+        scale = self.spec.gamma ** h
+        for disps, dists, shifted in _displacement_blocks(p, self.spec):
+            y = np.subtract(p, shifted, out=shifted)
+            y /= _denominators([(scale * r) ** eps for r in dists], y.ndim)
+            yield disps, y
 
 
+@functools.lru_cache(maxsize=8)
 def _short_displacements(spec: LatticeSpec):
-    """Nonzero lattice displacements with torus distance < 1/m."""
+    """Nonzero lattice displacements with torus distance < 1/m, in C order,
+    as a (k, d) int table and their k distances; both read-only."""
     n = spec.n_side
     coords = np.arange(n)
     torus = np.minimum(coords, n - coords) * spec.a
     grids = np.meshgrid(*([torus] * spec.d), indexing="ij")
     dist = np.sqrt(sum(g * g for g in grids))
     mask = (dist > 0) & (dist < 1.0 / spec.m)
-    disps = np.argwhere(mask)
-    return [tuple(dv) for dv in disps], dist[mask]
+    disps, dists = np.argwhere(mask), dist[mask]
+    disps.setflags(write=False)
+    dists.setflags(write=False)
+    return disps, dists
+
+
+def _displacement_blocks(z: np.ndarray, spec: LatticeSpec):
+    """The short displacements in order, in blocks (disps, dists, shifted).
+
+    shifted[k] is z at x + disps[k] for every site x, np.roll(z, -disps[k])
+    over the lattice axes (the last spec.d axes of z; any leading axes are
+    samples), so shifted has shape (block, *z.shape).  A block is one fancy
+    index gather from the wrap-padded windows of z, about _CHUNK_SITES
+    values, and is the caller's to overwrite.
+    """
+    disps, dists = _short_displacements(spec)
+    windows = _wrapped_windows(z, spec.d)
+    per_block = max(1, _CHUNK_SITES // z.size)
+    for start in range(0, len(disps), per_block):
+        block = disps[start:start + per_block]
+        yield block, dists[start:start + per_block], windows[tuple(block.T)]
+
+
+def _denominators(powers: list, ndim: int) -> np.ndarray:
+    """Per-displacement scalar powers as a column against (block, ...) arrays.
+
+    The powers are taken one by one as scalars: numpy's vectorized pow can
+    differ from the scalar one in the last bit, and the per-cube oracle
+    hoelder_norm uses scalars.
+    """
+    return np.array(powers).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def assemble(layers) -> MultiscaleField:
@@ -205,7 +243,7 @@ def hoelder_norm(values: np.ndarray, spec: LatticeSpec, origin, side: int,
         return best
     disps, dists = _short_displacements(spec)
     for delta, r in zip(disps, dists):
-        shifted = values[tuple(((cube_idx + np.array(delta)) % n).T)]
+        shifted = values[tuple(((cube_idx + delta) % n).T)]
         cand = np.abs(cube_vals) + tau * np.abs(cube_vals - shifted) / r ** eps
         best = max(best, float(np.max(cand)))
     return best
@@ -215,9 +253,10 @@ def _site_norms(z: np.ndarray, spec: LatticeSpec, tau: int | None, eps: float) -
     """Per-site Hoelder quantity q_x, whose maximum over a cube is its norm.
 
     q_x = max(|z_x|, max over short delta of |z_x| + tau |z_x - z_{x+delta}| / r^eps),
-    one np.roll of the whole lattice per displacement, with the elementwise
-    operations of hoelder_norm in the same order.  The lattice axes are the
-    last spec.d axes of z; any leading axes are samples.
+    the whole lattice shifted by a block of displacements at a time (see
+    _displacement_blocks), with the elementwise operations of hoelder_norm
+    (additions and products commute exactly).  The lattice axes are the last
+    spec.d axes of z; any leading axes are samples.
     """
     if tau is None:
         tau = 0 if spec.d == 2 else 1
@@ -225,11 +264,12 @@ def _site_norms(z: np.ndarray, spec: LatticeSpec, tau: int | None, eps: float) -
     if tau == 0:
         return absz
     q = absz.copy()
-    axes = tuple(range(z.ndim - spec.d, z.ndim))
-    disps, dists = _short_displacements(spec)
-    for delta, r in zip(disps, dists):
-        shifted = np.roll(z, shift=[-int(c) for c in delta], axis=axes)
-        np.maximum(q, absz + tau * np.abs(z - shifted) / r ** eps, out=q)
+    for _, dists, shifted in _displacement_blocks(z, spec):
+        cand = np.abs(np.subtract(z, shifted, out=shifted), out=shifted)
+        cand *= tau
+        cand /= _denominators([r ** eps for r in dists], cand.ndim)
+        cand += absz
+        np.maximum(q, cand.max(axis=0), out=q)
     return q
 
 
@@ -326,12 +366,12 @@ def classify_regions(fld: MultiscaleField, h: int, B: float,
     d1 = list(map(tuple, np.argwhere(np.abs(X) > B * h ** 4).tolist()))
     d2 = []
     if spec.d == 3:
-        # displacement outer, sites in C order inner
-        for delta, y in fld._pair_fields(h, eps):
-            eta = np.argwhere(np.abs(y) > B * h ** 4)
-            if len(eta):
-                etap = (eta + np.array(delta, dtype=int)) % spec.n_side
-                d2.extend(zip(map(tuple, eta.tolist()), map(tuple, etap.tolist())))
+        # displacement outer, sites in C order inner: argwhere's row order
+        for disps, y in fld._pair_fields(h, eps):
+            hit = np.argwhere(np.abs(y, out=y) > B * h ** 4)
+            eta = hit[:, 1:]
+            etap = (eta + disps[hit[:, 0]]) % spec.n_side
+            d2.extend(zip(map(tuple, eta.tolist()), map(tuple, etap.tolist())))
     origins, norms = layer_norm_profile(fld.layers[h], level=h, tau=tau, eps=eps)
     bad = [origin for origin, norm in zip(origins, norms) if norm > B * h ** 2]
     return RegionClassification(B=B, h=h, D1=d1, D2=d2, R=bad, chi_B=1 if not bad else 0)

@@ -152,20 +152,23 @@ def _node_grid(spec: LatticeSpec, gh_nodes: int):
     return weights, s2, s4, x, A
 
 
-def _log_mean_exp(logs: np.ndarray, weights: np.ndarray) -> float:
-    m = float(np.max(logs))
-    return m + math.log(float(np.sum(weights * np.exp(logs - m))))
-
-
 def _quadrature_log_ratio(cfg: ExperimentConfig, cts: Counterterms,
                           t_values=(1.0,)) -> dict:
-    """log Z(t f) - log Z(0) for each t, on the dense Gauss-Hermite tensor grid."""
-    weights, s2, s4, x, A = _node_grid(cfg.spec, cfg.gh_nodes)
+    """log Z(t f) - log Z(0) for each t, on the dense Gauss-Hermite tensor grid.
+
+    Taken as a ratio, log1p(sum_i p_i expm1(-a^d t lin_i)) with p the
+    normalized t = 0 node weights, so a small log-ratio does not inherit the
+    rounding of log Z(0) as a difference of two log-sums would.
+    """
+    spec = cfg.spec
+    weights, s2, s4, x, A = _node_grid(spec, cfg.gh_nodes)
     # f . phi = sum_k (A^T f)_k y_k, an outer sum over the modes
     lin = functools.reduce(np.add.outer, [c * x for c in A.T @ cfg.f_array]).ravel()
-    logs = _interaction_log_density(cfg, cts, s4, s2, lin, [*t_values, 0.0])
-    z0 = _log_mean_exp(logs[0.0], weights)
-    return {t: _log_mean_exp(logs[t], weights) - z0 for t in t_values}
+    logs0 = _interaction_log_density(cfg, cts, s4, s2, lin, [0.0])[0.0]
+    p = weights * np.exp(logs0 - logs0.max())
+    p /= p.sum()
+    w = spec.a ** spec.d
+    return {t: math.log1p(float(p @ np.expm1(-w * t * lin))) for t in t_values}
 
 
 def _mc_log_ratio(cfg: ExperimentConfig, cts: Counterterms, t_values=(1.0,)) -> dict:

@@ -14,7 +14,14 @@ from phi4lab import (
     classify_regions,
     field_threshold,
 )
-from phi4lab.field_sampler import _band_fields, layer_norm_profile, pavement_cubes, tail_stats
+from phi4lab import field_sampler
+from phi4lab.field_sampler import (
+    _band_fields,
+    _short_displacements,
+    layer_norm_profile,
+    pavement_cubes,
+    tail_stats,
+)
 from phi4lab.lattice_propagator import _range_weights
 
 
@@ -198,6 +205,96 @@ def _brute_force_norm(layer, origin, side, eps=0.25):
             if 0 < r < 1.0 / spec.m:
                 best = max(best, abs(z[x]) + abs(z[x] - z[eta]) / r ** eps)
     return best
+
+
+CUBE8 = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=3)  # 511 short displacements
+CUBE4 = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)  # 63
+ODD9 = LatticeSpec(d=2, L=4.0, m=1.0, gamma=1.5, N=2)  # odd side, cubes wrap round
+
+
+@pytest.fixture(params=[1, 7 * CUBE8.n_sites], ids=["one_per_block", "seven_per_8cube_block"])
+def block_budget(request, monkeypatch):
+    """Small blocks of displacements: one per block, or seven on 8^3 so that
+    blocks end inside the rows of eight displacements along the last axis."""
+    monkeypatch.setattr(field_sampler, "_CHUNK_SITES", request.param)
+
+
+def _torus_distance(spec, delta):
+    return math.sqrt(sum(((min(c, spec.n_side - c) * spec.a) ** 2 for c in delta)))
+
+
+def _rolled_pair_fields(fld, h, eps=0.25):
+    """(delta, Y^(h) at delta) over the short displacements in C order, one
+    np.roll of phi^(<=h) each."""
+    spec, p = fld.spec, fld.phi(h)
+    for delta in np.ndindex(spec.shape):
+        r = _torus_distance(spec, delta)
+        if 0 < r < 1.0 / spec.m:
+            shifted = np.roll(p, [-c for c in delta], axis=tuple(range(spec.d)))
+            yield delta, (p - shifted) / (spec.gamma ** h * r) ** eps
+
+
+class TestBlockEngine:
+    """Blocks of displacements give exactly the one-displacement-at-a-time
+    results, whatever the block size."""
+
+    @pytest.mark.parametrize("spec, h", [(CUBE8, 1), (CUBE8, 3), (ODD9, 1)])
+    def test_profile_equals_per_cube_norms(self, block_budget, spec, h):
+        layer = sample_layer(spec, h, 4)
+        origins, norms = layer_norm_profile(layer, tau=1)
+        _, side = pavement_cubes(spec, h)
+        assert norms == [hoelder_norm(layer.z, spec, o, side, tau=1) for o in origins]
+
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_Y_equals_rolled_loop(self, block_budget, h):
+        fld = make_field(CUBE8, seed=6)
+        disps, Y = fld.Y(h)
+        rolled = list(_rolled_pair_fields(fld, h))
+        assert [tuple(delta) for delta in disps.tolist()] == [delta for delta, _ in rolled]
+        assert np.array_equal(Y, np.stack([y for _, y in rolled]))
+
+    def test_pair_regions_equal_rolled_loop(self, block_budget):
+        fld = make_field(CUBE8, seed=2)
+        h, B = 2, 0.02
+        expected = []
+        for delta, y in _rolled_pair_fields(fld, h):
+            for eta in np.ndindex(CUBE8.shape):
+                if abs(y[eta]) > B * h ** 4:
+                    expected.append((eta, tuple((c + dc) % CUBE8.n_side
+                                                for c, dc in zip(eta, delta))))
+        assert len(set(expected)) > 1000
+        assert classify_regions(fld, h, B).D2 == expected
+
+    def test_d3_tail_maxima_equal_per_sample_loop(self, block_budget):
+        # with seven 8^3 lattices per block the last chunk holds two samples,
+        # which take 28 displacements per block
+        h, seed, n = 2, 9, 1010
+        stats = tail_stats(CUBE4, h, B_grid=[0.8, 1.0, 1.2, 1.4, 1.6], n_samples=n,
+                           seed=seed, tau=1)
+        # one cube covering the whole lattice: its norm is the sample's maximum
+        loop = [hoelder_norm(sample_layer(CUBE4, h, seed + i).z, CUBE4, (0, 0, 0),
+                             CUBE4.n_side, tau=1) for i in range(n)]
+        assert np.array_equal(stats["maxima"], np.array(loop))
+
+    def test_site_norms_with_sample_axis(self, block_budget):
+        zs = np.stack([sample_layer(CUBE8, 1, 30 + i).z for i in range(2)])
+        expected = np.abs(zs)
+        for delta in np.ndindex(CUBE8.shape):
+            r = _torus_distance(CUBE8, delta)
+            if 0 < r < 1.0 / CUBE8.m:
+                shifted = np.roll(zs, [-c for c in delta], axis=(1, 2, 3))
+                np.maximum(expected, np.abs(zs) + np.abs(zs - shifted) / r ** 0.25,
+                           out=expected)
+        assert np.array_equal(field_sampler._site_norms(zs, CUBE8, 1, 0.25), expected)
+
+    def test_displacement_table_is_cached_and_read_only(self):
+        disps, dists = _short_displacements(CUBE8)
+        assert _short_displacements(CUBE8)[0] is disps
+        assert disps.shape == (CUBE8.n_sites - 1, 3) and len(dists) == len(disps)
+        for arr in (disps, dists):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
 
 
 class TestRegions:

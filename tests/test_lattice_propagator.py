@@ -13,7 +13,12 @@ from phi4lab import (
     regulator_chi,
     bound_report,
 )
-from phi4lab.lattice_propagator import cache_load, cache_store
+from phi4lab.lattice_propagator import (
+    PropagatorKernel,
+    _wrapped_windows,
+    cache_load,
+    cache_store,
+)
 
 
 def spec2(**kw):
@@ -124,6 +129,37 @@ class TestKernelStructure:
         M = covariance_cumulative(s, 2).matrix()
         assert np.allclose(M, M.T)
         assert np.ptp(np.diag(M)) < 1e-14
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2),  # REF, 4 sites
+        LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2),
+        LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=3),
+        LatticeSpec(d=2, L=4.0, m=1.0, gamma=1.5, N=2),  # odd side 9
+    ])
+    def test_matrix_equals_index_formula(self, spec):
+        kernel = covariance_cumulative(spec, spec.N)
+        # a table without the x -> -x symmetry of a covariance tells C[x, y]
+        # from C[y, x]
+        table = np.random.default_rng(3).standard_normal(spec.shape)
+        idx = np.indices(spec.shape).reshape(spec.d, -1)
+        diff = tuple((idx[:, :, None] - idx[:, None, :]) % spec.n_side)
+        for k in (kernel, PropagatorKernel(spec, kernel.band, kernel.mode_weights, table)):
+            M = k.matrix()
+            assert np.array_equal(M, k.values[diff])
+            assert M.flags.c_contiguous and M.flags.writeable
+
+    @pytest.mark.parametrize("shape, d", [((3, 3), 2), ((2, 3, 3), 2), ((4, 4, 4), 3)])
+    def test_wrapped_windows_are_rolls(self, shape, d):
+        a = np.random.default_rng(1).standard_normal(shape)
+        n, lead = shape[-1], len(shape) - d
+        windows = _wrapped_windows(a, d)
+        assert windows.shape == (n + 1,) * d + shape and not windows.flags.writeable
+        padded = np.pad(a, [(0, 0)] * lead + [(0, n)] * d, mode="wrap")
+        lattice = tuple(range(lead, len(shape)))
+        view = np.lib.stride_tricks.sliding_window_view(padded, shape[lead:], axis=lattice)
+        assert np.array_equal(windows, np.moveaxis(view, lattice, tuple(range(d))))
+        for s in np.ndindex(windows.shape[:d]):
+            assert np.array_equal(windows[s], np.roll(a, [-c for c in s], axis=lattice))
 
     def test_kernel_is_real(self):
         s = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)

@@ -159,7 +159,9 @@ class TestEstimators:
 
 def oracle_log_ratio(cfg, cts, t_values):
     """log Z(t f) - log Z(0) on the node-major grid: phi = y A^T with one row
-    per node, the interaction summed over the trailing site axis."""
+    per node, the interaction summed over the trailing site axis.  The two
+    log-sums are taken in extended precision: in float64 their difference
+    carries the rounding of log Z (1.1e-11 relative on REF at gh 16, t = 0.3)."""
     spec = cfg.spec
     n = spec.n_sites
     x, w = _gauss_hermite(cfg.gh_nodes)
@@ -170,8 +172,9 @@ def oracle_log_ratio(cfg, cts, t_values):
             + cts.nu * n)
 
     def log_mean_exp(logs):
+        logs = logs.astype(np.longdouble)
         m = np.max(logs)
-        return m + math.log(np.sum(weights * np.exp(logs - m)))
+        return m + np.log(np.sum(weights * np.exp(logs - m)))
 
     z0 = log_mean_exp(-spec.a ** spec.d * even)
     return {t: log_mean_exp(-spec.a ** spec.d * (even + (t * phi) @ cfg.f_array)) - z0
@@ -190,6 +193,26 @@ class TestQuadratureGrid:
         want = oracle_log_ratio(cfg, cts, self.T_VALUES)
         for t in self.T_VALUES:
             assert got[t] == pytest.approx(want[t], rel=1e-12, abs=0)
+
+    def test_small_ratio_matches_extended_precision_sums(self):
+        # the engine's own node sums, reduced in extended precision as two
+        # log-sums: a difference of float64 log-sums is 1.1e-11 off here
+        cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, gh_nodes=16)
+        cts = counterterms(REF, cfg.lam, nu_order=cfg.j)
+        weights, s2, s4, x, A = _node_grid(REF, 16)
+        lin = functools.reduce(np.add.outer, [c * x for c in A.T @ cfg.f_array]).ravel()
+        ld = np.longdouble
+        w = ld(REF.a) ** REF.d
+        even = ld(cfg.lam) * s4.astype(ld) + ld(cts.mu) * s2.astype(ld) + ld(cts.nu) * REF.n_sites
+
+        def log_sum(logs):
+            m = np.max(logs)
+            return m + np.log(np.sum(weights.astype(ld) * np.exp(logs - m)))
+
+        want = log_sum(-w * (even + ld(0.3) * lin.astype(ld))) - log_sum(-w * even)
+        got = _quadrature_log_ratio(cfg, cts, (0.3,))[0.3]
+        assert 6e-6 < got < 7e-6
+        assert abs((ld(got) - want) / want) <= 1e-14
 
     def test_grid_is_cached_per_spec_and_nodes(self):
         _node_grid.cache_clear()
