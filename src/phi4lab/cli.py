@@ -257,9 +257,9 @@ def rgflow(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, c
     spec = _build_spec(dim, gamma, mass, box, cutoff)
     out = Path(out)
     _write_manifest(out, "rgflow", spec, {"lambda": lam, "order": order})
-    if order > 3 or spec.n_sites ** (4 * max(order, 1)) > MAX_TENSOR_ENTRIES:
-        click.echo("infeasible: lattice too large for the dense recursion engine",
-                   err=True)
+    # sourceless blocks have at most `order` vertices: n_sites^order coefficients
+    if order > 3 or spec.n_sites ** max(order, 1) > MAX_TENSOR_ENTRIES:
+        click.echo("infeasible: lattice too large for the recursion engine", err=True)
         sys.exit(EXIT_INFEASIBLE)
     lam_eff = max(lam, 1e-12)
     cts = counterterms(spec, lam_eff, nu_order=order)

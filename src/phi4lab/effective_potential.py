@@ -1,31 +1,28 @@
 """Potential functionals, Wick powers, the truncated cumulant recursion
 and the per-scale remainder bound.
 
-A potential is stored as a finite sum of monomial terms: for each pair
-(order in lambda, degree in the field) a dense kernel on lattice tuples.
-This is a desk-scale verification engine: kernels are exact and the sizes
-are guarded so only tiny lattices are accepted.
-
-One recursion step integrates one scale band:
+A potential is a sum of vertex-local blocks.  Block (order, legs) holds
+coefficients c over its vertex positions y, of shape (n_sites,) * len(legs)
+(a float without vertices), for sum_y c[y] prod_a phi(y_a)^legs[a]: as a
+dense kernel, runs of legs[a] equal indices y_a in vertex order.  One
+recursion step integrates one scale band:
 
     V_{j;h-1} = [ <V> + (<V^2> - <V>^2)/2! + third-cumulant/3! ]^(<= j)
 
 where <.> is the exact Gaussian expectation over the scale-h layer and the
-truncation keeps lambda-orders up to j.  The expectation of a kernel K is
-E[K(phi + zeta)] = exp(Delta_C / 2) K, where Delta_C / 2 acts on a kernel
-as the sum over index pairs i < j of contracting axes i and j with the band
-covariance C.  The exponential series is applied one pair-contraction step
-at a time: its q-th term, divided by q!, is the sum over sets of q disjoint
-index pairs, because each such set comes up q! times among the ordered
-sequences of q steps.  So <V> is Isserlis' sum over partial pairings,
-computed with sum_q C(k - 2q, 2) contractions for a degree-k kernel
-instead of one per partial pairing.
+truncation keeps lambda-orders up to j.  <K> is Isserlis' sum over partial
+pairings of K's legs.  Legs on one vertex are interchangeable, so a block's
+pairings collapse to line patterns (t_a self-pairs on vertex a, k_ab lines
+between vertices a < b), each weighted by the number of pairings realizing it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,117 +51,152 @@ __all__ = [
 MAX_TENSOR_ENTRIES = 50_000_000
 
 
+def _check_entries(n: int, rank: int):
+    if n ** rank > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"{n}^{rank} entries exceed MAX_TENSOR_ENTRIES = {MAX_TENSOR_ENTRIES}")
+
+
+@functools.lru_cache(maxsize=None)
+def _line_patterns(legs: tuple) -> tuple:
+    """Every (factors, r, w) pairing some of the legs of vertices with
+    ``legs`` free legs: factors lists ((a,), t_a) self-pairs and ((a, b), k_ab)
+    lines, r the legs left free per vertex, and w = prod_a legs[a]! /
+    (2^t_a t_a! r_a!) / prod_(a<b) k_ab! the number of partial pairings of
+    the distinguishable legs that realize it."""
+    pairs = list(itertools.combinations(range(len(legs)), 2))
+    out = []
+    for ks in itertools.product(*(range(min(legs[a], legs[b]) + 1) for a, b in pairs)):
+        left = [x - sum(k for p, k in zip(pairs, ks) if a in p) for a, x in enumerate(legs)]
+        # a vertex with more lines than legs has left < 0: an empty range of ts
+        for ts in itertools.product(*(range(x // 2 + 1) for x in left)):
+            r = tuple(x - 2 * t for x, t in zip(left, ts))
+            den = math.prod(2 ** t * math.factorial(t) * math.factorial(x) for t, x in zip(ts, r))
+            w = math.prod(map(math.factorial, legs)) // (den * math.prod(map(math.factorial, ks)))
+            lines = tuple((p, k) for p, k in zip(pairs, ks) if k)
+            out.append((tuple(((a,), t) for a, t in enumerate(ts) if t) + lines, r, float(w)))
+    return tuple(out)
+
+
+def _along(arr: np.ndarray, axes: tuple, rank: int) -> np.ndarray:
+    """``arr`` shaped to broadcast over a rank-``rank`` array, its axes at ``axes``."""
+    return arr.reshape([arr.shape[0] if i in axes else 1 for i in range(rank)])
+
+
+class _DenseView(Mapping):
+    """Read-only (order, degree) -> dense kernel view of a functional's blocks
+    as they are when it is made: a kernel is summed from that degree's blocks
+    when read, under the MAX_TENSOR_ENTRIES guard; degree 0 gives a float."""
+
+    def __init__(self, V: "PotentialFunctional"):
+        self._n, self._groups = V.spec.n_sites, {}
+        for (o, legs), c in V.blocks.items():
+            self._groups.setdefault((o, sum(legs)), []).append((legs, c))
+
+    def __iter__(self):
+        return iter(self._groups)
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def __contains__(self, key) -> bool:
+        return key in self._groups
+
+    def __getitem__(self, key):
+        if key[1] == 0:
+            return float(sum(c for _, c in self._groups[key]))
+        _check_entries(self._n, key[1])
+        out = np.zeros((self._n,) * key[1])
+        for legs, c in self._groups[key]:
+            sites = [_along(np.arange(self._n), (a,), len(legs)) for a in range(len(legs))]
+            out[tuple(y for y, k in zip(sites, legs) for _ in range(k))] += c
+        return out
+
+
 @dataclass
 class PotentialFunctional:
-    """Finite sum of monomial terms with dense lattice kernels, graded by
-    lambda-order.  ``terms[(order, degree)]`` holds the kernel tensor of shape
-    (n_sites,) * degree; degree 0 entries are plain floats."""
+    """Finite sum of vertex-local blocks ``blocks[(order, legs)]``, graded by
+    lambda-order; no operation writes a block in place.  ``terms`` is the
+    read-only dense view keyed by (order, degree), for checks; nothing in the
+    engine reads it."""
 
     spec: LatticeSpec
     h: int
-    terms: dict = field(default_factory=dict)
+    blocks: dict = field(default_factory=dict)
 
-    def copy(self) -> "PotentialFunctional":
-        return PotentialFunctional(self.spec, self.h,
-                                   {k: (v if np.isscalar(v) else v.copy())
-                                    for k, v in self.terms.items()})
+    @property
+    def terms(self) -> _DenseView:
+        return _DenseView(self)
 
-    def add_term(self, order: int, degree: int, kernel):
-        if degree > 0:
-            size = self.spec.n_sites ** degree
-            if size > MAX_TENSOR_ENTRIES:
-                raise ValueError("kernel tensor too large for the desk-scale engine")
-        if (order, degree) in self.terms:
-            self.terms[(order, degree)] = self.terms[(order, degree)] + kernel
-        else:
-            self.terms[(order, degree)] = kernel
+    def add(self, order: int, legs: tuple, coeff):
+        key = (order, tuple(legs))
+        self.blocks[key] = self.blocks[key] + coeff if key in self.blocks else coeff
 
-    def scale(self, factor: float) -> "PotentialFunctional":
-        """Scale every kernel in place; returns self."""
-        for key in self.terms:
-            self.terms[key] *= factor
-        return self
-
-    def add_into(self, acc: "PotentialFunctional") -> "PotentialFunctional":
-        """self + acc, summed into acc's kernels in place (acc must own them).
-        Terms come in self's order, then acc's others, as in a copying sum:
-        later steps add contributions in term order.  Returns acc."""
-        for key, ker in self.terms.items():
-            if key in acc.terms:
-                acc.terms[key] += ker
-            else:
-                acc.terms[key] = ker if np.isscalar(ker) else ker.copy()
-        acc.terms = {**{key: acc.terms[key] for key in self.terms}, **acc.terms}
-        return acc
-
-    def times(self, other: "PotentialFunctional", jmax: int) -> "PotentialFunctional":
-        """Functional product, truncated to lambda-order jmax."""
-        out = PotentialFunctional(self.spec, self.h)
-        for (o1, k1), ker1 in self.terms.items():
-            for (o2, k2), ker2 in other.terms.items():
-                if o1 + o2 > jmax:
-                    continue
-                key, prod = (o1 + o2, k1 + k2), np.multiply.outer(ker1, ker2)
-                if key in out.terms:
-                    out.terms[key] += prod  # out owns every kernel it holds
-                else:
-                    out.add_term(*key, prod)
+    def plus(self, other: "PotentialFunctional", factor: float = 1.0) -> "PotentialFunctional":
+        """self + factor * other, as a new functional."""
+        out = PotentialFunctional(self.spec, self.h, dict(self.blocks))
+        for (o, legs), c in other.blocks.items():
+            out.add(o, legs, c * factor)
         return out
 
-    def truncate(self, jmax: int) -> "PotentialFunctional":
+    def times(self, other: "PotentialFunctional", jmax: int) -> "PotentialFunctional":
+        """Functional product, truncated to lambda-order jmax: vertex lists
+        concatenate and coefficients take the outer product."""
         out = PotentialFunctional(self.spec, self.h)
-        for (o, k), ker in self.terms.items():
-            if o <= jmax:
-                out.add_term(o, k, ker)
+        for (o1, l1), c1 in self.blocks.items():
+            for (o2, l2), c2 in other.blocks.items():
+                if o1 + o2 <= jmax:
+                    _check_entries(self.spec.n_sites, len(l1) + len(l2))
+                    out.add(o1 + o2, l1 + l2, np.multiply.outer(c1, c2))
         return out
 
     def gauss_expect(self, cov: np.ndarray, new_h: int) -> "PotentialFunctional":
         """Expectation over a Gaussian layer with covariance matrix ``cov``.
 
         Substitutes field -> lower field + layer and integrates the layer
-        exactly, E[K(phi + zeta)] = exp(Delta_C / 2) K.  With L the sum over
-        index pairs i < j of contracting axes (i, j) with ``cov``, the terms
-        are t_0 = K and t_q = L(t_(q-1)) / q = L^q K / q!, the degree k - 2q
-        part with the unpaired indices in their original order.  Each set of
-        q disjoint pairs arises q! times among the ordered sequences of q
-        L-steps, so t_q is the sum over the partial pairings of K's indices
-        with q pairs.  Degree-0 terms are floats.
+        exactly: each line pattern of a block (``_line_patterns``) adds
+        c * w * prod_a C(y_a, y_a)^t_a * prod_(a<b) C(y_a, y_b)^k_ab, summed
+        over the positions of the vertices left without legs.
         """
         out = PotentialFunctional(self.spec, new_h)
-        for (o, k), t in self.terms.items():
-            out.add_term(o, k, t)
-            for q in range(1, k // 2 + 1):
-                axes = list(range(t.ndim))
-                t = sum(np.einsum(t, axes, cov, [i, j], [a for a in axes if a not in (i, j)])
-                        for i, j in itertools.combinations(axes, 2)) / q
-                out.add_term(o, k - 2 * q, float(t) if t.ndim == 0 else t)
+        for (o, legs), c in self.blocks.items():
+            for factors, r, w in _line_patterns(legs):
+                term = c * w
+                for axes, k in factors:
+                    line = cov if len(axes) == 2 else np.diagonal(cov)
+                    term = term * _along(line ** k, axes, len(legs))
+                gone = tuple(a for a, x in enumerate(r) if x == 0)
+                out.add(o, tuple(x for x in r if x), np.sum(term, axis=gone))
         return out
 
     def evaluate(self, phi, lam: float) -> float:
         """Numeric value on a concrete field configuration."""
         phi = np.asarray(phi, dtype=float).ravel()
         total = 0.0
-        for (o, k), ker in self.terms.items():
-            if k == 0:
-                total += lam ** o * float(ker)
-                continue
-            value = np.asarray(ker)
-            for _ in range(k):
-                value = value @ phi
-            total += lam ** o * float(value)
+        for (o, legs), c in self.blocks.items():
+            for k in reversed(legs):
+                c = c @ phi ** k
+            total += lam ** o * float(c)
         return total
 
     def constant_coefficients(self, jmax: int) -> np.ndarray:
         """Degree-0 part per lambda-order."""
         out = np.zeros(jmax + 1)
-        for (o, k), ker in self.terms.items():
-            if k == 0 and o <= jmax:
-                out[o] += float(ker)
+        for (o, legs), c in self.blocks.items():
+            if not legs and o <= jmax:
+                out[o] += c
         return out
 
     def kernel_norms(self) -> dict:
-        return {key: float(np.max(np.abs(np.asarray(ker))))
-                for key, ker in self.terms.items()}
+        """Largest |coefficient| over the blocks of each (order, degree), with
+        no dense kernel built.  It is the dense kernel's largest |entry| when
+        a degree has one block of at most one vertex, as at order 1; from
+        order 2 on, blocks add up where their positions coincide, and it is
+        the largest single block coefficient."""
+        norms = {}
+        for (o, legs), c in self.blocks.items():
+            key = (o, sum(legs))
+            norms[key] = max(norms.get(key, 0.0), float(np.max(np.abs(c))))
+        return norms
 
 
 def wick_power(k: int, c: float) -> dict:
@@ -181,23 +213,14 @@ def wick_power(k: int, c: float) -> dict:
     return out
 
 
-def _diag_tensor(n: int, degree: int, per_site) -> np.ndarray:
-    t = np.zeros((n,) * degree)
-    idx = (np.arange(n),) * degree
-    t[idx] = per_site
-    return t
-
-
 def wick_quartic_potential(spec: LatticeSpec, h: int, variance: float,
                            prefactor: float = 1.0) -> PotentialFunctional:
     """The order-1 potential  prefactor * a^d sum_x :phi_x^4:_variance."""
     V = PotentialFunctional(spec, h)
     w = spec.a ** spec.d * prefactor
     for degree, coeff in wick_power(4, variance).items():
-        if degree == 0:
-            V.add_term(1, 0, coeff * w * spec.n_sites)
-        else:
-            V.add_term(1, degree, _diag_tensor(spec.n_sites, degree, coeff * w))
+        V.add(1, (degree,) * (degree > 0),
+              np.full(spec.n_sites, coeff * w) if degree else coeff * w * spec.n_sites)
     return V
 
 
@@ -213,48 +236,36 @@ def bare_potential(spec: LatticeSpec, f=None, cts: Counterterms | None = None,
     n = spec.n_sites
     w = spec.a ** spec.d
     V = PotentialFunctional(spec, spec.N)
-    V.add_term(1, 4, _diag_tensor(n, 4, -w))
+    V.add(1, (4,), np.full(n, -w))
     for order in (1, 2):
         if order < len(cts.mu_poly) and cts.mu_poly[order] != 0.0 and order <= jmax:
-            V.add_term(order, 2, _diag_tensor(n, 2, -w * cts.mu_poly[order]))
+            V.add(order, (2,), np.full(n, -w * cts.mu_poly[order]))
     if cts.nu_poly is not None:
         for order, c in enumerate(cts.nu_poly):
             if c != 0.0 and order <= jmax:
-                V.add_term(order, 0, -w * n * c)
+                V.add(order, (), -w * n * c)
     if f is not None:
-        V.add_term(0, 1, -w * spec.source(f))
+        V.add(0, (1,), -w * spec.source(f))
     return V
 
 
-def truncated_integrate(V: PotentialFunctional, j: int,
-                        band_cov: np.ndarray | None = None) -> PotentialFunctional:
+def truncated_integrate(V: PotentialFunctional, j: int) -> PotentialFunctional:
     """One recursion step: integrate the scale-h layer to order j in lambda."""
     if j > 3:
         raise ValueError("recursion order capped at 3")
-    spec = V.spec
     h = V.h
     if h < 1:
         raise ValueError("no layer left to integrate")
-    if band_cov is None:
-        band_cov = covariance_band(spec, h)
-    if hasattr(band_cov, "matrix"):
-        band_cov = band_cov.matrix()
-    # Cumulants are summed in place, in the order of the copying sums (so the
-    # kernels are the same); each big operand is dropped once used.
-    m1 = V.gauss_expect(band_cov, h - 1)
-    out = m1.truncate(j)
+    band_cov = covariance_band(V.spec, h).matrix()
+    m1 = out = V.gauss_expect(band_cov, h - 1)
     if j >= 2:
         V2 = V.times(V, j)
         m2 = V2.gauss_expect(band_cov, h - 1)
-        out = out.add_into(m2.add_into(m1.times(m1, j).scale(-1.0)).scale(0.5))
+        out = out.plus(m2.plus(m1.times(m1, j), -1.0), 0.5)
     if j >= 3:
-        third = m1.times(m2, j).scale(-3.0)
-        del m2
-        third = V2.times(V, j).gauss_expect(band_cov, h - 1).add_into(third)
-        del V2
-        cube = m1.times(m1, j).times(m1, j).scale(2.0)
-        out = out.add_into(third.add_into(cube).scale(1.0 / 6.0))
-    return out.truncate(j)
+        third = V2.times(V, j).gauss_expect(band_cov, h - 1).plus(m1.times(m2, j), -3.0)
+        out = out.plus(third.plus(m1.times(m1, j).times(m1, j), 2.0), 1.0 / 6.0)
+    return PotentialFunctional(V.spec, h - 1, {k: c for k, c in out.blocks.items() if k[0] <= j})
 
 
 def flow_constant(spec: LatticeSpec, lam: float, f, j: int,
@@ -284,69 +295,53 @@ class RelevantSplit:
 def relevant_split(V: PotentialFunctional, lam: float) -> RelevantSplit:
     """Split a potential into relevant local block, d=3 pair block and remainder.
 
-    The local block collects the exactly diagonal quartic/quadratic parts, the
-    field-linear part and the constant; its coefficients are reported in the
-    normalized X-variables at the potential's scale (the d=2 normalization of
-    X is 1/sqrt(h)).  In d=3 with h < N the canonical pair kernel
-    24 lambda^2 (C^(<=h)3 - C^(<=N)3) on (phi_eta - phi_eta')^2 is split off;
-    in d=2 that block is identically empty.
-
-    The remainder ``irr`` holds V's own kernels for the terms it leaves as
-    they are (degrees 3 and above 4); every term it changes is a new array,
-    so nothing here writes to V, but a later in-place write to a shared
-    kernel of V or of irr shows in both.
+    The local block takes the blocks of degree 0 and 1, the one-vertex blocks
+    of degree 2 and 4 and the all-coincident entries of the multi-vertex ones
+    (the dense kernels' diagonals); ``irr`` the other blocks, those entries
+    zeroed.  The local coefficients are reported in the normalized X-variables
+    at the potential's scale (the d=2 normalization of X is 1/sqrt(h)).  In
+    d=3 with h < N the canonical pair kernel 24 lambda^2 (C^(<=h)3 - C^(<=N)3)
+    on (phi_eta - phi_eta')^2 is split off; in d=2 that block is identically
+    empty.
     """
     spec = V.spec
     h = V.h
     n = spec.n_sites
     rel1 = PotentialFunctional(spec, h)
-    irr = PotentialFunctional(spec, h, dict(V.terms))
-    for (o, k), ker in V.terms.items():
-        if k in (2, 4):
-            diag_vals = np.asarray(ker)[(np.arange(n),) * k]
-            diag = _diag_tensor(n, k, diag_vals)
-            rel1.add_term(o, k, diag)
-            irr.terms[(o, k)] = ker - diag
-        elif k in (0, 1):
-            rel1.add_term(o, k, ker)
-            irr.terms[(o, k)] = (ker - ker) if k == 0 else np.zeros_like(ker)
+    irr = PotentialFunctional(spec, h)
+    for (o, legs), c in V.blocks.items():
+        k = sum(legs)
+        if k in (2, 4) and len(legs) > 1:
+            coincident = (np.arange(n),) * len(legs)
+            rel1.add(o, (k,), c[coincident])
+            c = c.copy()
+            c[coincident] = 0.0
+        (rel1 if k < 2 or (k in (2, 4) and len(legs) == 1) else irr).add(o, legs, c)
     rel2 = PotentialFunctional(spec, h)
-    if spec.d == 3 and h < spec.N:
-        ch = covariance_cumulative(spec, h) if h >= 1 else None
-        cn = covariance_cumulative(spec, spec.N)
-        if ch is not None:
-            W = 24.0 * (ch.matrix() ** 3 - cn.matrix() ** 3) * spec.a ** (2 * spec.d)
-            T = -2.0 * W
-            row = W.sum(axis=1) + W.sum(axis=0)
-            T[np.arange(n), np.arange(n)] += row
-            rel2.add_term(2, 2, T)
-            if (2, 2) in irr.terms:
-                irr.terms[(2, 2)] = irr.terms[(2, 2)] - T
-            else:
-                irr.add_term(2, 2, -T)
+    if spec.d == 3 and 1 <= h < spec.N:
+        ch, cn = covariance_cumulative(spec, h), covariance_cumulative(spec, spec.N)
+        # W[x, y] = 24 a^(2d) (ch^3 - cn^3)[x - y], gathered like a kernel matrix;
+        # sum W (phi_x - phi_y)^2 is row sums on one vertex and -2 W on two
+        W = dataclasses.replace(ch, values=ch.values ** 3 - cn.values ** 3).matrix()
+        W *= 24.0 * spec.a ** (2 * spec.d)
+        for legs, c in (((2,), W.sum(axis=1) + W.sum(axis=0)), ((1, 1), -2.0 * W)):
+            rel2.add(2, legs, c)
+            irr.add(2, legs, -c)
     # coefficients in the rescaled variables
     sig = math.sqrt(h) if spec.d == 2 else spec.gamma ** ((spec.d - 2) * h / 2.0)
     w = spec.a ** spec.d
-    quartic = quad = lin = 0.0
-    const = 0.0
-    for (o, k), ker in rel1.terms.items():
-        if k == 4:
-            quartic += lam ** o * float(np.asarray(ker)[(0,) * 4]) / (-w)
-        elif k == 2:
-            quad += lam ** o * float(np.asarray(ker)[(0, 0)]) / (-w)
-        elif k == 1:
-            lin += lam ** o * float(np.asarray(ker)[0]) / (-w)
-        elif k == 0:
-            const += lam ** o * float(ker) / (-w * n)
+    total = dict.fromkeys((0, 1, 2, 4), 0.0)
+    for (o, legs), c in rel1.blocks.items():
+        total[sum(legs)] += lam ** o * (float(c[0]) / (-w) if legs else c / (-w * n))
     coefficients = {
-        "lambda_eff": quartic,
-        "mu_bar": quad / sig ** 2 if sig else quad,
-        "nu_bar": const / sig ** 4,
-        "f_bar": lin / sig ** 3,
+        "lambda_eff": total[4],
+        "mu_bar": total[2] / sig ** 2 if sig else total[2],
+        "nu_bar": total[0] / sig ** 4,
+        "f_bar": total[1] / sig ** 3,
         "sigma": sig,
     }
     vol = n * spec.a ** spec.d
-    E = V.constant_coefficients(max(o for o, _ in V.terms) if V.terms else 0) / vol
+    E = V.constant_coefficients(max((o for o, _ in V.blocks), default=0)) / vol
     return RelevantSplit(rel1=rel1, rel2=rel2, irr=irr, E_density=E,
                          coefficients=coefficients)
 

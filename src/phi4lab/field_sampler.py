@@ -68,6 +68,7 @@ def _unit_size(values: np.ndarray, spec: LatticeSpec, h: int) -> np.ndarray:
 # shifted fields in _displacement_blocks.  Larger chunks were no faster for
 # tail_stats on 8^3 and 128^2 lattices and raised peak memory.
 _CHUNK_SITES = 1 << 14
+MAX_D2_PAIRS = 10_000_000  # a list of tuple pairs: about 2 GB
 
 
 def _band_fields(spec: LatticeSpec, h: int, seeds):
@@ -355,7 +356,8 @@ def classify_regions(fld: MultiscaleField, h: int, B: float,
 
     D1 collects sites where |X^(h)| > B h^4; D2 (d=3 only) pairs closer than
     1/m where |Y^(h)| > B h^4; R the Q_h cubes where the layer norm exceeds
-    B h^2.  chi_B is 1 exactly when R is empty.
+    B h^2.  chi_B is 1 exactly when R is empty.  A D2 beyond MAX_D2_PAIRS
+    pairs raises ValueError before the list grows past it.
     """
     spec = fld.spec
     if not 1 <= h <= spec.N:
@@ -369,6 +371,8 @@ def classify_regions(fld: MultiscaleField, h: int, B: float,
         # displacement outer, sites in C order inner: argwhere's row order
         for disps, y in fld._pair_fields(h, eps):
             hit = np.argwhere(np.abs(y, out=y) > B * h ** 4)
+            if len(d2) + len(hit) > MAX_D2_PAIRS:
+                raise ValueError(f"D2 would pass MAX_D2_PAIRS = {MAX_D2_PAIRS} pairs; raise B")
             eta = hit[:, 1:]
             etap = (eta + disps[hit[:, 0]]) % spec.n_side
             d2.extend(zip(map(tuple, eta.tolist()), map(tuple, etap.tolist())))

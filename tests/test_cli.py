@@ -5,7 +5,10 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from phi4lab import LatticeSpec, counterterms
 from phi4lab.cli import main
+
+import dense_potential as dense
 
 
 REF_ARGS = ["--gamma", str(math.sqrt(2)), "--box", "0.25", "--mass", "4",
@@ -90,10 +93,33 @@ class TestSubcommands:
         run_ok(runner, ["rgflow", "--cutoff", "1", "--order", "3", "--check",
                         "--out", str(tmp_path)])
 
+    def test_rgflow_default_order_two_check(self, runner, tmp_path):
+        run_ok(runner, ["rgflow", "--order", "2", "--check", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("args", [REF_ARGS, []], ids=["ref", "default"])
+    def test_rgflow_order_one_norms_match_dense_engine(self, runner, tmp_path, args):
+        # at order 1 each (order, degree) has one one-vertex block, whose
+        # largest |coefficient| is the dense kernel's largest |entry|
+        run_ok(runner, ["rgflow", *args, "--order", "1", "--out", str(tmp_path)])
+        flow = json.loads((tmp_path / "flow.json").read_text())
+        spec = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2) if not args else \
+            LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)
+        V = dense.bare_potential(spec, None, counterterms(spec, 0.05, nu_order=1), 0.05, jmax=1)
+        for entry in flow[:-1]:
+            want = {f"{o},{k}": norm for (o, k), norm in V.kernel_norms().items()}
+            assert entry["terms"].keys() == want.keys()
+            for key, norm in want.items():
+                assert entry["terms"][key] == pytest.approx(norm, rel=1e-12)
+            V = dense.truncated_integrate(V, 1)
+
     def test_rgflow_infeasible_exits_3(self, runner, tmp_path):
-        result = runner.invoke(main, ["rgflow", "--cutoff", "3", "--order", "2",
+        # 32^3 sites: a two-vertex block would hold 32768^2 > 5e7 coefficients
+        start = time.perf_counter()
+        result = runner.invoke(main, ["rgflow", "--dim", "3", "--cutoff", "5", "--order", "2",
                                       "--out", str(tmp_path)])
         assert result.exit_code == 3
+        assert not (tmp_path / "flow.json").exists()
+        assert time.perf_counter() - start < 5
 
     def test_stability_check(self, runner, tmp_path):
         run_ok(runner, ["stability", *REF_ARGS, "--lambda", "0.05", "--samples", "10",

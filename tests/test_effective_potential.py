@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from phi4lab.effective_potential import (
     remainder_partial_sums,
     wick_quartic_potential,
 )
+
+import dense_potential as dense
 
 
 REF = LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)
@@ -56,8 +59,8 @@ class TestWickPowers:
 class TestFunctionalAlgebra:
     def test_product_truncates_order(self):
         V = PotentialFunctional(REF, 2)
-        V.add_term(1, 0, 2.0)
-        V.add_term(2, 0, 5.0)
+        V.add(1, (), 2.0)
+        V.add(2, (), 5.0)
         sq = V.times(V, jmax=2)
         assert sq.terms[(2, 0)] == pytest.approx(4.0)
         assert (3, 0) not in sq.terms and (4, 0) not in sq.terms
@@ -73,12 +76,39 @@ class TestFunctionalAlgebra:
 
     def test_gauss_expect_of_quadratic(self):
         V = PotentialFunctional(REF, 2)
-        V.add_term(1, 2, np.eye(REF.n_sites))
+        V.add(1, (2,), np.ones(REF.n_sites))
         cov = covariance_band(REF, 2).matrix()
         out = V.gauss_expect(cov, 1)
         # E[(phi+z)^2] per site = phi^2 + C(0): constant picks up the trace
         assert out.terms[(1, 0)] == pytest.approx(np.trace(cov))
         assert np.allclose(out.terms[(1, 2)], np.eye(REF.n_sites))
+
+    def test_dense_view_layout(self):
+        # legs (2, 1): runs of two equal indices, then one, c[y_0, y_1]
+        V = PotentialFunctional(REF, 2)
+        c = np.arange(16.0).reshape(4, 4)
+        V.add(2, (2, 1), c)
+        V.add(2, (1, 2), c)
+        ker = V.terms[(2, 3)]
+        want = np.zeros((4, 4, 4))
+        for x, y in itertools.product(range(4), repeat=2):
+            want[x, x, y] += c[x, y]
+            want[x, y, y] += c[x, y]
+        assert np.array_equal(ker, want)
+        assert list(V.terms) == [(2, 3)] and (2, 2) not in V.terms
+        with pytest.raises(KeyError):
+            V.terms[(2, 2)]
+
+    def test_size_guard_before_allocation(self, monkeypatch):
+        monkeypatch.setattr("phi4lab.effective_potential.MAX_TENSOR_ENTRIES", 4 ** 3)
+        V = PotentialFunctional(REF, 2)
+        V.add(1, (4,), np.ones(4))
+        V.add(1, (2, 2), np.ones((4, 4)))
+        with pytest.raises(ValueError, match="MAX_TENSOR_ENTRIES"):
+            V.times(V, 2)  # the 4^4-entry (2, 2, 2, 2) block
+        with pytest.raises(ValueError, match="MAX_TENSOR_ENTRIES"):
+            V.terms[(1, 4)]  # the 4^4-entry dense view
+        assert V.kernel_norms() == {(1, 4): 1.0}
 
 
 def _partial_pairings(k):
@@ -137,7 +167,7 @@ class TestGaussExpectOracle:
         a = rng.normal(size=(3, 3))
         cov = a @ a.T + 0.5 * np.eye(3)
         # gauss_expect reads only the kernels and cov: 3-site kernels in a REF container
-        V = PotentialFunctional(REF, 2)
+        V = dense.PotentialFunctional(REF, 2)
         for degree in range(9):
             for order in (degree % 3, 3):
                 V.add_term(order, degree, float(rng.normal()) if degree == 0
@@ -158,7 +188,7 @@ class TestGaussExpectOracle:
 
 
 def copying_truncated_integrate(V, j, cov):
-    """One recursion step with a fresh functional for every sum and scaling."""
+    """One dense recursion step with a fresh functional for every sum and scaling."""
     def plus(a, b):
         out = a.copy()
         for (o, k), ker in b.terms.items():
@@ -166,7 +196,7 @@ def copying_truncated_integrate(V, j, cov):
         return out
 
     def scaled(a, factor):
-        out = PotentialFunctional(a.spec, a.h)
+        out = dense.PotentialFunctional(a.spec, a.h)
         for (o, k), ker in a.terms.items():
             out.add_term(o, k, ker * factor)
         return out
@@ -194,7 +224,7 @@ class TestInPlaceCumulants:
         cov = a @ a.T + 0.5 * np.eye(3)
         # 3-site kernels in a REF container; random gaps in the (order, degree)
         # grid leave terms that only one side of a sum has
-        V = PotentialFunctional(REF, 2)
+        V = dense.PotentialFunctional(REF, 2)
         for order in range(4):
             for degree in range(3):
                 if rng.random() < 0.8:
@@ -203,12 +233,101 @@ class TestInPlaceCumulants:
         got, want = V, V.copy()
         # a second j = 3 step would exceed the kernel size guard
         for _ in range(2 if j < 3 else 1):
-            got = truncated_integrate(got, j, cov)
+            got = dense.truncated_integrate(got, j, cov)
             want = copying_truncated_integrate(want, j, cov)
             # the term order decides the summation order of the next step
             assert list(got.terms) == list(want.terms)
             for key, ker in want.terms.items():
                 assert np.asarray(got.terms[key]).tobytes() == np.asarray(ker).tobytes()
+
+
+def rounding_scale(V, j):
+    """The engine's step on |coefficients| and |C| with every cumulant term
+    added: per kernel, the size of the terms its entries sum, which sets
+    their rounding error.  Kernels that cancel down to that error
+    (renormalized constants, the quadratic kernel at h = 0) have a largest
+    |entry| far below it."""
+    A = PotentialFunctional(V.spec, V.h, {key: np.abs(c) for key, c in V.blocks.items()})
+    cov = np.abs(covariance_band(V.spec, V.h).matrix())
+    m1 = out = A.gauss_expect(cov, V.h - 1)
+    if j >= 2:
+        A2 = A.times(A, j)
+        m2 = A2.gauss_expect(cov, V.h - 1)
+        out = out.plus(m2.plus(m1.times(m1, j)), 0.5)
+    if j >= 3:
+        third = A2.times(A, j).gauss_expect(cov, V.h - 1).plus(m1.times(m2, j), 3.0)
+        out = out.plus(third.plus(m1.times(m1, j).times(m1, j), 2.0), 1.0 / 6.0)
+    return out
+
+
+def assert_views_match(V, D, scale):
+    """Every entry of every (order, degree) kernel of the engine's dense view
+    equals the oracle's within 1e-12 of the larger of the oracle kernel's and
+    the ``scale`` kernel's largest |entry|; a key one side lacks is zero."""
+    for key in dict.fromkeys([*D.terms, *V.terms]):
+        err, size = _largest_entries(key, V, D, scale)
+        assert err <= 1e-12 * size, (key, err, size)
+
+
+def _largest_entries(key, V, D, scale):
+    """Largest |V - D| and largest |D| or |scale| entry of one kernel, a slab
+    at a time: no temporary the size of a 64-site quartic kernel."""
+    err = size = 0.0
+    for g, w, s in zip(*np.broadcast_arrays(*(np.atleast_1d(X.terms.get(key, 0.0))
+                                               for X in (V, D, scale)))):
+        err = max(err, float(np.max(np.abs(g - w))))
+        size = max(size, float(np.max(np.abs(w))), float(np.max(np.abs(s))))
+    return err, size
+
+
+def paired_flow(spec, j, f, steps=None):
+    """The engine's and the oracle's flows from the same bare potential:
+    (V, D, scale) before the first step and after each one."""
+    cts = counterterms(spec, LAM, nu_order=j)
+    f = None if f is None else np.asarray(f)
+    V = bare_potential(spec, f, cts, LAM, jmax=j)
+    D = dense.bare_potential(spec, f, cts, LAM, jmax=j)
+    yield V, D, V
+    for _ in range(spec.N if steps is None else steps):
+        scale = rounding_scale(V, j)
+        V, D = truncated_integrate(V, j), dense.truncated_integrate(D, j)
+        yield V, D, scale
+
+
+REF_F = (0.6, -0.4, 0.2, 0.5)
+FOUR = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=1)
+REF3 = LatticeSpec(d=3, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)  # 8 sites
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("spec, j, f", [
+        (REF, 1, None), (REF, 1, REF_F), (REF, 2, None), (REF, 2, REF_F), (FOUR, 3, None)])
+    def test_every_step_matches_dense_engine(self, spec, j, f):
+        for V, D, scale in paired_flow(spec, j, f):
+            assert list(V.terms) == list(D.terms)
+            assert_views_match(V, D, scale)
+
+    def test_one_step_on_64_sites(self):
+        spec = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)
+        # no order-1 kernel cancels before h = 0: the oracle's own entries
+        # set the scale, and no third 64^4 view is built
+        for V, D, _ in paired_flow(spec, 1, None, steps=1):
+            assert_views_match(V, D, D)
+        assert V.h == 1 and all(len(legs) == 1 for _, legs in V.blocks if legs)
+
+    @pytest.mark.parametrize("spec, j, f", [(REF, 2, REF_F), (REF3, 1, None),
+                                            (REF3, 1, REF_F * 2)])  # an 8-site source
+    def test_relevant_split_matches_dense_formula(self, spec, j, f):
+        # the scales h = N..1 that rgflow splits; sigma is 0 at h = 0 in d = 2
+        for V, D, scale in paired_flow(spec, j, f, steps=spec.N - 1):
+            got, want = relevant_split(V, LAM), dense.relevant_split(D, LAM)
+            for part in ("rel1", "rel2", "irr"):
+                assert_views_match(getattr(got, part), getattr(want, part), scale)
+            size = relevant_split(scale, LAM).coefficients
+            for name, value in want.coefficients.items():
+                bound = 1e-12 * max(abs(value), abs(size[name]))
+                assert abs(got.coefficients[name] - value) <= bound, (name, V.h)
+        assert (2, 2) in got.rel2.terms or spec.d == 2
 
 
 class TestMartingale:

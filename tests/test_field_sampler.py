@@ -339,6 +339,16 @@ class TestRegions:
         with pytest.raises(ValueError):
             classify_regions(make_field(), 5, 1.0)
 
+    def test_pair_cap_refuses_before_the_list_passes_it(self, monkeypatch):
+        spec = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=3)
+        fld = make_field(spec, seed=2)
+        n_pairs = len(classify_regions(fld, 2, 0.02).D2)
+        monkeypatch.setattr(field_sampler, "MAX_D2_PAIRS", n_pairs)
+        assert len(classify_regions(fld, 2, 0.02).D2) == n_pairs
+        monkeypatch.setattr(field_sampler, "MAX_D2_PAIRS", n_pairs - 1)
+        with pytest.raises(ValueError, match="MAX_D2_PAIRS"):
+            classify_regions(fld, 2, 0.02)
+
 
 class TestTails:
     def test_exceedance_decreases_in_B(self):
