@@ -302,10 +302,12 @@ def relevant_split(V: PotentialFunctional, lam: float) -> RelevantSplit:
     at the potential's scale (the d=2 normalization of X is 1/sqrt(h)).  In
     d=3 with h < N the canonical pair kernel 24 lambda^2 (C^(<=h)3 - C^(<=N)3)
     on (phi_eta - phi_eta')^2 is split off; in d=2 that block is identically
-    empty.
+    empty.  A d=2 potential at h=0 is rejected with ValueError.
     """
     spec = V.spec
     h = V.h
+    if spec.d == 2 and h == 0:
+        raise ValueError("the X-variables are undefined at h = 0 in d = 2 (sigma = sqrt(h))")
     n = spec.n_sites
     rel1 = PotentialFunctional(spec, h)
     irr = PotentialFunctional(spec, h)
@@ -335,7 +337,7 @@ def relevant_split(V: PotentialFunctional, lam: float) -> RelevantSplit:
         total[sum(legs)] += lam ** o * (float(c[0]) / (-w) if legs else c / (-w * n))
     coefficients = {
         "lambda_eff": total[4],
-        "mu_bar": total[2] / sig ** 2 if sig else total[2],
+        "mu_bar": total[2] / sig ** 2,
         "nu_bar": total[0] / sig ** 4,
         "f_bar": total[1] / sig ** 3,
         "sigma": sig,

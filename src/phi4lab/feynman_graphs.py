@@ -16,6 +16,10 @@ so a graph with n quartic, p mass and r external vertices carries the sign
 (-1)^(n+p+r) of the value formula.  The quadratic counterterm is kept as a
 polynomial in lambda (first order -6 lambda C_00, second order the d=3 local
 chain part), which makes order bookkeeping in the series exact.
+
+Each (n, p, r) family's topology table and each topology's einsum plan per
+(lines, kinds, n_sites) are memoized, keyed on no kernel, source or coupling;
+a series builds the dense covariance matrix once for all its families.
 """
 
 from __future__ import annotations
@@ -243,34 +247,43 @@ def _topology_table(n: int, p: int, r: int) -> tuple:
                  for g, raw, count in aggregate_topologies(_connected_graphs(n, p, r)))
 
 
-def _einsum_sum(lines, element_kinds, M, f, n_sites):
-    """Sum of prod-of-lines (and f factors) over all vertex position assignments."""
+@functools.lru_cache(maxsize=1024)
+def _contraction_plan(lines: tuple, element_kinds: tuple, n_sites: int) -> tuple:
+    """(subscripts, operand roles, path, free vertex count) of one topology:
+    roles M (a line), c0 (a self-loop's C(0) vector), f (an external leg); the
+    path is np.einsum's optimize=True choice for these shapes.  The key holds
+    no kernel, source or coupling; 1024 plans stay under 1 MiB."""
     letters = "abcdefghijklmnopqrstuvwxyz"
     k = len(element_kinds)
     if k > len(letters):
         raise ValueError("too many vertices")
-    operands, subs = [], []
+    roles, subs = [], []
     used = set()
-    c0 = None
     for u, v in lines:
         used.update((u, v))
-        if u == v:
-            if c0 is None:
-                c0 = np.full(n_sites, M[0, 0])
-            operands.append(c0)
-            subs.append(letters[u])
-        else:
-            operands.append(M)
-            subs.append(letters[u] + letters[v])
+        roles.append("c0" if u == v else "M")
+        subs.append(letters[u] if u == v else letters[u] + letters[v])
     for v, kind in enumerate(element_kinds):
         if kind == "external":
-            operands.append(f)
+            roles.append("f")
             subs.append(letters[v])
             used.add(v)
-    free = sum(1 for v in range(k) if v not in used)
-    if not operands:
+    free = k - len(used)
+    if not roles:
+        return None, (), None, free
+    subscripts = ",".join(subs) + "->"
+    shapes = [np.broadcast_to(0.0, (n_sites,) * len(sub)) for sub in subs]
+    path = tuple(np.einsum_path(subscripts, *shapes, optimize=True)[0])
+    return subscripts, tuple(roles), path, free
+
+
+def _einsum_sum(lines, element_kinds, M, f, n_sites):
+    """Sum of prod-of-lines (and f factors) over all vertex position assignments."""
+    subs, roles, path, free = _contraction_plan(tuple(lines), tuple(element_kinds), n_sites)
+    if not roles:
         return float(n_sites ** free)
-    total = np.einsum(",".join(subs) + "->", *operands, optimize=True)
+    operands = {"M": M, "c0": np.full(n_sites, M[0, 0]) if "c0" in roles else None, "f": f}
+    total = np.einsum(subs, *(operands[r] for r in roles), optimize=path)
     return float(total) * n_sites ** free
 
 
@@ -312,13 +325,12 @@ def _poly_shift(a, k, jmax):
     return out
 
 
-def _family_poly(n, p, r, kernel, f_arr, mu_poly, jmax):
-    """Sum over connected (n,p,r) matchings of integrated values, as a lambda poly."""
-    spec = kernel.spec
+def _family_poly(n, p, r, spec, M, f_arr, mu_poly, jmax):
+    """Sum over connected (n,p,r) matchings of integrated values, as a lambda
+    poly; M is the dense covariance matrix, built once per series."""
     table = _topology_table(n, p, r)
     if not table:
         return None
-    M = kernel.matrix()
     sign = (-1.0) ** (n + p + r)
     norm = math.factorial(n) * math.factorial(p) * math.factorial(r)
     base = np.zeros(jmax + 1)
@@ -375,11 +387,12 @@ def vacuum_density_poly(spec: LatticeSpec, kernel: PropagatorKernel,
     """
     total = np.zeros(order + 1)
     vol = spec.n_sites * spec.a ** spec.d
+    M = kernel.matrix()
     for n in range(0, order + 1):
         for p in range(0, order + 1 - n):
             if n == 0 and p == 0:
                 continue
-            part = _family_poly(n, p, 0, kernel, np.zeros(spec.n_sites),
+            part = _family_poly(n, p, 0, spec, M, np.zeros(spec.n_sites),
                                 mu_poly, order)
             if part is not None:
                 total += part
@@ -514,13 +527,14 @@ def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
     vol = spec.n_sites * spec.a ** spec.d
     coeffs = np.zeros(j + 1)
     have_f = bool(np.any(f_arr))
+    M = kernel.matrix()
     for n in range(0, j + 1):
         for p in range(0, j + 1 - n):
             r_top = r_max if (have_f or n + p == 0) else 0
             for r in range(0, r_top + 1):
                 if n + p + r == 0 or (4 * n + 2 * p + r) % 2:
                     continue
-                part = _family_poly(n, p, r, kernel, f_arr, cts.mu_poly, j)
+                part = _family_poly(n, p, r, spec, M, f_arr, cts.mu_poly, j)
                 if part is not None:
                     coeffs += part / vol
     # constant counterterm: V carries -nu per unit volume

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice_propagator import LatticeSpec, _range_weights, _wrapped_windows
+from .lattice_propagator import LatticeSpec, _wrapped_windows, scale_range_kernel
 
 __all__ = [
     "FieldLayer",
@@ -79,7 +79,7 @@ def _band_fields(spec: LatticeSpec, h: int, seeds):
     filtered by the square root of the band weights over the lattice axes, so
     a seed's field does not depend on the chunk it lands in.
     """
-    root_w = np.sqrt(_range_weights(spec, h - 1, h))
+    root_w = np.sqrt(scale_range_kernel(spec, h - 1, h).mode_weights)
     axes = tuple(range(1, spec.d + 1))
     per_chunk = max(1, _CHUNK_SITES // spec.n_sites)
     seeds = list(seeds)

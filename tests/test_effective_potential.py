@@ -417,6 +417,22 @@ class TestRelevantSplit:
         V = bare_potential(REF, None, counterterms(REF, LAM), LAM, jmax=2)
         assert relevant_split(V, LAM).rel2.terms == {}
 
+    @pytest.mark.parametrize("f", [None, np.array([0.3, -0.2, 0.1, 0.25])])
+    def test_d2_scale_zero_is_rejected(self, f):
+        # sigma = sqrt(h) = 0 at h = 0 in d = 2: no X-variable is defined there
+        V = bare_potential(REF, f, counterterms(REF, LAM), LAM, jmax=2)
+        for _ in range(REF.N):
+            V = truncated_integrate(V, 2)
+        assert V.h == 0
+        with pytest.raises(ValueError, match="h = 0"):
+            relevant_split(V, LAM)
+
+    def test_d3_scale_zero_is_split(self):
+        spec = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=1)
+        V = truncated_integrate(bare_potential(spec, None, counterterms(spec, LAM), LAM,
+                                               jmax=1), 1)
+        assert relevant_split(V, LAM).coefficients["sigma"] == 1.0
+
 
 class TestRemainderBound:
     def test_documented_value(self):

@@ -18,6 +18,8 @@ from phi4lab import (
 from phi4lab.feynman_graphs import (
     FeynmanGraph,
     _canonical_lines,
+    _contraction_plan,
+    _einsum_sum,
     _elements,
     _topology_table,
     aggregate_topologies,
@@ -313,3 +315,89 @@ class TestMemoSafety:
         assert isinstance(table, tuple) and table
         assert all(only_tuples(entry) for entry in table)
 
+
+
+def _oracle_einsum_sum(lines, element_kinds, M, f, n_sites):
+    """The per-call contraction: subscripts built and the path searched anew
+    by np.einsum(optimize=True) on every call."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    operands, subs = [], []
+    used = set()
+    c0 = None
+    for u, v in lines:
+        used.update((u, v))
+        if u == v:
+            if c0 is None:
+                c0 = np.full(n_sites, M[0, 0])
+            operands.append(c0)
+            subs.append(letters[u])
+        else:
+            operands.append(M)
+            subs.append(letters[u] + letters[v])
+    for v, kind in enumerate(element_kinds):
+        if kind == "external":
+            operands.append(f)
+            subs.append(letters[v])
+            used.add(v)
+    free = sum(1 for v in range(len(element_kinds)) if v not in used)
+    if not operands:
+        return float(n_sites ** free)
+    total = np.einsum(",".join(subs) + "->", *operands, optimize=True)
+    return float(total) * n_sites ** free
+
+
+PLAN_SPECS = [LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2),
+              LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2),
+              LatticeSpec(d=3, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)]
+PLAN_FAMILIES = [(n, p, r) for n in range(3) for p in range(3 - n) for r in range(5)
+                 if n + p + r > 0 and r % 2 == 0]
+
+
+class TestContractionPlans:
+    @pytest.mark.parametrize("spec", PLAN_SPECS, ids=lambda s: f"d{s.d}n{s.n_sites}")
+    def test_plans_match_per_call_einsum(self, spec):
+        M = covariance_cumulative(spec, spec.N).matrix()
+        f = np.random.default_rng(2).uniform(-0.5, 0.5, spec.n_sites)
+        checked = 0
+        for n, p, r in PLAN_FAMILIES:
+            for raw, kinds, _ in _topology_table(n, p, r):
+                got = _einsum_sum(raw, kinds, M, f, spec.n_sites)
+                want = _oracle_einsum_sum(raw, kinds, M, f, spec.n_sites)
+                assert got.hex() == want.hex(), (n, p, r, raw)
+                checked += 1
+            # integrated_value passes a representative's unsorted lines
+            for g, _, _ in aggregate_topologies(enumerate_connected(n, p, r)):
+                kinds = tuple(e.kind for e in g.elements)
+                assert _einsum_sum(g.lines(), kinds, M, f, spec.n_sites).hex() \
+                    == _oracle_einsum_sum(g.lines(), kinds, M, f, spec.n_sites).hex()
+        assert checked == 19  # every topology of the families above
+
+    def test_line_free_graph_counts_positions(self):
+        kinds = ("vacuum", "vacuum")
+        assert _einsum_sum((), kinds, M, None, SPEC.n_sites) == SPEC.n_sites ** 2
+        assert _contraction_plan((), kinds, SPEC.n_sites) == (None, (), None, 2)
+
+    def test_plan_key_holds_no_arrays(self):
+        raw, kinds, _ = _topology_table(1, 0, 2)[0]
+        subscripts, roles, path, free = _contraction_plan(raw, kinds, SPEC.n_sites)
+        assert isinstance(subscripts, str) and isinstance(path, tuple)
+        assert path[0] == "einsum_path"
+        assert set(roles) <= {"M", "c0", "f"} and free == 0
+        assert _contraction_plan.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("spec", PLAN_SPECS, ids=lambda s: f"d{s.d}n{s.n_sites}")
+    def test_cold_equals_warm(self, spec):
+        f = np.random.default_rng(4).uniform(-0.5, 0.5, spec.n_sites)
+
+        def numbers():
+            out = []
+            for j in (1, 2):
+                cts = counterterms(spec, 0.05, nu_order=j)
+                out += _hex(cts.mu_poly) + _hex(cts.nu_poly) + _hex([cts.mu, cts.nu])
+                for src in (None, f):
+                    out += _hex(logZ_series(spec, 0.05, src, j, cts=cts).coefficients)
+            return out
+        _contraction_plan.cache_clear()
+        cold = numbers()
+        assert _contraction_plan.cache_info().currsize > 0
+        assert numbers() == cold

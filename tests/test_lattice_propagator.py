@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from phi4lab import (
 )
 from phi4lab.lattice_propagator import (
     PropagatorKernel,
+    _range_weights,
     _wrapped_windows,
     cache_load,
     cache_store,
@@ -170,6 +172,66 @@ class TestKernelStructure:
         s = spec2()
         evals = np.linalg.eigvalsh(covariance_cumulative(s, 2).matrix())
         assert evals.min() > -1e-12
+
+
+MEMO_SPECS = [spec2(), LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2),
+              LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)]
+
+
+def _ranges(spec):
+    return [(lo, hi) for lo in range(spec.N + 1) for hi in range(lo, spec.N + 1)]
+
+
+class TestKernelMemo:
+    @pytest.mark.parametrize("spec", MEMO_SPECS)
+    def test_memo_equals_fresh_build(self, spec):
+        for lo, hi in _ranges(spec):
+            fresh = PropagatorKernel.from_weights(spec, (lo, hi), _range_weights(spec, lo, hi))
+            memo = scale_range_kernel(spec, lo, hi)
+            assert memo.band == (lo, hi)
+            assert memo.values.tobytes() == fresh.values.tobytes()
+            assert memo.mode_weights.tobytes() == fresh.mode_weights.tobytes()
+
+    def test_repeated_call_returns_the_memo(self):
+        s = spec2()
+        assert covariance_band(s, 1) is scale_range_kernel(s, 0, 1)
+        assert covariance_cumulative(s, 2) is difference_kernel(s, 0)
+
+    @pytest.mark.parametrize("name", ["values", "mode_weights"])
+    def test_memo_arrays_are_read_only(self, name):
+        arr = getattr(covariance_band(spec2(), 2), name)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+
+    def test_replace_builds_a_new_kernel(self):
+        k = covariance_cumulative(spec2(), 1)
+        before = k.values.copy()
+        cubed = dataclasses.replace(k, values=k.values ** 3)
+        assert cubed is not k and cubed.band == k.band
+        assert np.array_equal(cubed.values, before ** 3)
+        assert np.array_equal(k.values, before)
+        assert np.array_equal(cubed.matrix()[:, 0], (before ** 3).ravel())
+
+    def test_cache_is_bounded(self):
+        assert scale_range_kernel.cache_info().maxsize == 32
+
+    @pytest.mark.parametrize("spec", MEMO_SPECS)
+    def test_cold_equals_warm(self, spec):
+        def numbers():
+            return [(k.values.tobytes(), k.mode_weights.tobytes(), k.matrix().tobytes())
+                    for k in (scale_range_kernel(spec, lo, hi) for lo, hi in _ranges(spec))]
+        warm = numbers()
+        scale_range_kernel.cache_clear()
+        assert scale_range_kernel.cache_info().currsize == 0
+        assert numbers() == warm
+
+    def test_bad_range_is_not_cached(self):
+        before = scale_range_kernel.cache_info().currsize
+        with pytest.raises(ValueError):
+            scale_range_kernel(spec2(), 0, 3)
+        assert scale_range_kernel.cache_info().currsize == before
 
 
 class TestBoundReport:
