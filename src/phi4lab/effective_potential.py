@@ -5,15 +5,18 @@ A potential is a sum of vertex-local blocks.  Block (order, legs) holds
 coefficients c over its vertex positions y, of shape (n_sites,) * len(legs)
 (a float without vertices), for sum_y c[y] prod_a phi(y_a)^legs[a]: as a
 dense kernel, runs of legs[a] equal indices y_a in vertex order.  One
-recursion step integrates one scale band:
+recursion step integrates one scale band in truncated expectations:
 
-    V_{j;h-1} = [ <V> + (<V^2> - <V>^2)/2! + third-cumulant/3! ]^(<= j)
+    V_{j;h-1} = [ sum_{k=1..j} E^T(V, ..., V) / k! ]^(<= j)
 
-where <.> is the exact Gaussian expectation over the scale-h layer and the
-truncation keeps lambda-orders up to j.  <K> is Isserlis' sum over partial
-pairings of K's legs.  Legs on one vertex are interchangeable, so a block's
-pairings collapse to line patterns (t_a self-pairs on vertex a, k_ab lines
-between vertices a < b), each weighted by the number of pairings realizing it.
+with k copies of V in E^T, the Gaussian expectation over the scale-h layer,
+and the truncation keeping lambda-orders up to j.  E(K) is Isserlis' sum
+over partial pairings of K's legs.  Legs on one vertex are interchangeable,
+so a block's pairings collapse to line patterns (t_a self-pairs on vertex a,
+k_ab lines between vertices a < b), each weighted by the number of pairings
+realizing it.  E^T of k copies is the sum over the line patterns whose lines
+join the k copies into one component: no disconnected pattern is formed, so
+no cumulant is built by subtraction.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .lattice_propagator import (
     covariance_cumulative,
     difference_kernel,
 )
-from .feynman_graphs import Counterterms, counterterms, logZ_series
+from .feynman_graphs import Counterterms, _components, counterterms, logZ_series
 
 __all__ = [
     "PotentialFunctional",
@@ -80,6 +83,31 @@ def _line_patterns(legs: tuple) -> tuple:
 def _along(arr: np.ndarray, axes: tuple, rank: int) -> np.ndarray:
     """``arr`` shaped to broadcast over a rank-``rank`` array, its axes at ``axes``."""
     return arr.reshape([arr.shape[0] if i in axes else 1 for i in range(rank)])
+
+
+@functools.lru_cache(maxsize=None)
+def _joined_patterns(legs: tuple, owner: tuple) -> tuple:
+    """The ``_line_patterns`` of ``legs`` whose lines join the copies into one
+    component, vertex a belonging to copy ``owner[a]``."""
+    def joined(factors):
+        lines = [(owner[ab[0]], owner[ab[1]]) for ab, _ in factors if len(ab) == 2]
+        return len(_components(owner[-1] + 1, lines)) == 1
+    return tuple(p for p in _line_patterns(legs) if joined(p[0]))
+
+
+def _integrate(out: "PotentialFunctional", o: int, legs: tuple, c, cov: np.ndarray,
+               patterns: tuple):
+    """Adds to ``out`` the block (o, legs, c) integrated along ``patterns``:
+    each (factors, r, w) adds c * w * prod_a C(y_a, y_a)^t_a *
+    prod_(a<b) C(y_a, y_b)^k_ab, summed over the positions of the vertices
+    left without legs."""
+    for factors, r, w in patterns:
+        term = c * w
+        for axes, k in factors:
+            line = cov if len(axes) == 2 else np.diagonal(cov)
+            term = term * _along(line ** k, axes, len(legs))
+        gone = tuple(a for a, x in enumerate(r) if x == 0)
+        out.add(o, tuple(x for x in r if x), np.sum(term, axis=gone))
 
 
 class _DenseView(Mapping):
@@ -131,41 +159,14 @@ class PotentialFunctional:
         key = (order, tuple(legs))
         self.blocks[key] = self.blocks[key] + coeff if key in self.blocks else coeff
 
-    def plus(self, other: "PotentialFunctional", factor: float = 1.0) -> "PotentialFunctional":
-        """self + factor * other, as a new functional."""
-        out = PotentialFunctional(self.spec, self.h, dict(self.blocks))
-        for (o, legs), c in other.blocks.items():
-            out.add(o, legs, c * factor)
-        return out
-
-    def times(self, other: "PotentialFunctional", jmax: int) -> "PotentialFunctional":
-        """Functional product, truncated to lambda-order jmax: vertex lists
-        concatenate and coefficients take the outer product."""
-        out = PotentialFunctional(self.spec, self.h)
-        for (o1, l1), c1 in self.blocks.items():
-            for (o2, l2), c2 in other.blocks.items():
-                if o1 + o2 <= jmax:
-                    _check_entries(self.spec.n_sites, len(l1) + len(l2))
-                    out.add(o1 + o2, l1 + l2, np.multiply.outer(c1, c2))
-        return out
-
     def gauss_expect(self, cov: np.ndarray, new_h: int) -> "PotentialFunctional":
-        """Expectation over a Gaussian layer with covariance matrix ``cov``.
-
-        Substitutes field -> lower field + layer and integrates the layer
-        exactly: each line pattern of a block (``_line_patterns``) adds
-        c * w * prod_a C(y_a, y_a)^t_a * prod_(a<b) C(y_a, y_b)^k_ab, summed
-        over the positions of the vertices left without legs.
-        """
+        """Expectation over a Gaussian layer with covariance matrix ``cov``:
+        substitutes field -> lower field + layer and integrates the layer
+        exactly, every block along all of its ``_line_patterns``.  This is
+        the k = 1 term of ``truncated_integrate``."""
         out = PotentialFunctional(self.spec, new_h)
         for (o, legs), c in self.blocks.items():
-            for factors, r, w in _line_patterns(legs):
-                term = c * w
-                for axes, k in factors:
-                    line = cov if len(axes) == 2 else np.diagonal(cov)
-                    term = term * _along(line ** k, axes, len(legs))
-                gone = tuple(a for a, x in enumerate(r) if x == 0)
-                out.add(o, tuple(x for x in r if x), np.sum(term, axis=gone))
+            _integrate(out, o, legs, c, cov, _line_patterns(legs))
         return out
 
     def evaluate(self, phi, lam: float) -> float:
@@ -250,28 +251,45 @@ def bare_potential(spec: LatticeSpec, f=None, cts: Counterterms | None = None,
 
 
 def truncated_integrate(V: PotentialFunctional, j: int) -> PotentialFunctional:
-    """One recursion step: integrate the scale-h layer to order j in lambda."""
+    """One recursion step: integrate the scale-h layer to order j in lambda,
+    sum_{k=1..j} E^T(V, ..., V) / k! over k copies of V.
+
+    E^T of k copies takes, for each ordered choice of one block per copy,
+    the outer product of their coefficients and integrates it along the
+    line patterns whose lines join the k copies (``_joined_patterns``).  A
+    block without legs joins nothing, so for k >= 2 it is never chosen.
+
+    Stopping at k = j keeps every term of lambda-order <= j only while each
+    block has order >= 1.  A source block has order 0, so with a source the
+    terms of order <= j from more than j copies are left out.
+    """
     if j > 3:
         raise ValueError("recursion order capped at 3")
     h = V.h
     if h < 1:
         raise ValueError("no layer left to integrate")
-    band_cov = covariance_band(V.spec, h).matrix()
-    m1 = out = V.gauss_expect(band_cov, h - 1)
-    if j >= 2:
-        V2 = V.times(V, j)
-        m2 = V2.gauss_expect(band_cov, h - 1)
-        out = out.plus(m2.plus(m1.times(m1, j), -1.0), 0.5)
-    if j >= 3:
-        third = V2.times(V, j).gauss_expect(band_cov, h - 1).plus(m1.times(m2, j), -3.0)
-        out = out.plus(third.plus(m1.times(m1, j).times(m1, j), 2.0), 1.0 / 6.0)
+    cov = covariance_band(V.spec, h).matrix()
+    out = V.gauss_expect(cov, h - 1)
+    legged = [(o, legs, c) for (o, legs), c in V.blocks.items() if legs]
+    for k in range(2, j + 1):
+        for copies in itertools.product(legged, repeat=k):
+            orders, copy_legs, coeffs = zip(*copies)
+            if sum(orders) <= j:
+                owner = tuple(i for i, x in enumerate(copy_legs) for _ in x)
+                legs = sum(copy_legs, ())
+                _check_entries(V.spec.n_sites, len(legs))
+                c = functools.reduce(np.multiply.outer, coeffs) / math.factorial(k)
+                _integrate(out, sum(orders), legs, c, cov, _joined_patterns(legs, owner))
     return PotentialFunctional(V.spec, h - 1, {k: c for k, c in out.blocks.items() if k[0] <= j})
 
 
 def flow_constant(spec: LatticeSpec, lam: float, f, j: int,
                   cts: Counterterms | None = None) -> np.ndarray:
     """Iterate the recursion from scale N down to 0, return the constant
-    density per lambda-order (the field-independent part of V_{j;0})."""
+    density per lambda-order (the field-independent part of V_{j;0}).
+    With a source f it is not the order-j series: each step stops at j
+    copies (see ``truncated_integrate``): at j = 1 the order-0 constant is
+    0 where the series has 1/2 a^(2d) f.C.f / volume."""
     if cts is None:
         cts = counterterms(spec, lam, nu_order=j)
     V = bare_potential(spec, f=f, cts=cts, lam=lam, jmax=j)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +44,6 @@ __all__ = [
     "covariance_band",
     "difference_kernel",
     "bound_report",
-    "cache_store",
-    "cache_load",
 ]
 
 
@@ -249,15 +246,6 @@ class BoundReport:
     hoelder_eps: float
     residuals: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "decay_rate": self.decay_rate,
-            "amplitude": self.amplitude,
-            "hoelder_c": self.hoelder_c,
-            "hoelder_eps": self.hoelder_eps,
-            "residuals": self.residuals,
-        }
-
 
 def bound_report(kernel: PropagatorKernel, eps: float = 0.5) -> BoundReport:
     """Fit |C(x)| <= amplitude * exp(-rate |x|) and the small-distance increment bound.
@@ -301,27 +289,3 @@ def bound_report(kernel: PropagatorKernel, eps: float = 0.5) -> BoundReport:
         hoelder_eps=eps,
         residuals={"decay_rms": resid_decay, "hoelder_spread": resid_h},
     )
-
-
-def _cache_name(spec: LatticeSpec, band: tuple) -> str:
-    return f"kernel_{spec.canonical_hash()}_{band[0]}_{band[1]}.npy"
-
-
-def cache_store(kernel: PropagatorKernel, directory: str) -> str:
-    """Store the kernel values in a binary cache keyed by the spec hash."""
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, _cache_name(kernel.spec, kernel.band))
-    np.save(path, kernel.values)
-    return path
-
-
-def cache_load(spec: LatticeSpec, band: tuple, directory: str) -> PropagatorKernel | None:
-    """Load a cached kernel if present; mode weights are recomputed exactly."""
-    path = os.path.join(directory, _cache_name(spec, band))
-    if not os.path.exists(path):
-        return None
-    values = np.load(path)
-    if values.shape != spec.shape:
-        raise ValueError(f"cached kernel {path} has shape {values.shape}, expected {spec.shape}")
-    return PropagatorKernel(spec=spec, band=tuple(band), mode_weights=_range_weights(spec, *band),
-                            values=values)

@@ -88,6 +88,13 @@ class TestSubcommands:
         scales = [entry["scale"] for entry in flow]
         assert scales == [2, 1, 0]
 
+    def test_rgflow_writes_no_cancelled_kernels(self, runner, tmp_path):
+        # two quartic copies with no line between them would give a "2,8"
+        # kernel of norm 0.0 at scale 1: no connected pattern has 8 free legs
+        run_ok(runner, ["rgflow", *REF_ARGS, "--order", "2", "--out", str(tmp_path)])
+        terms = json.loads((tmp_path / "flow.json").read_text())[1]["terms"]
+        assert "2,8" not in terms and min(terms.values()) > 0.0
+
     def test_rgflow_order_three_check(self, runner, tmp_path):
         # default 4-site lattice (d=2, L=1, gamma=2, N=1)
         run_ok(runner, ["rgflow", "--cutoff", "1", "--order", "3", "--check",

@@ -21,6 +21,8 @@ from phi4lab import (
 )
 from phi4lab.effective_potential import (
     PotentialFunctional,
+    _joined_patterns,
+    _line_patterns,
     remainder_partial_sums,
     wick_quartic_potential,
 )
@@ -57,13 +59,19 @@ class TestWickPowers:
 
 
 class TestFunctionalAlgebra:
-    def test_product_truncates_order(self):
+    def test_step_joins_copies_and_truncates_order(self):
         V = PotentialFunctional(REF, 2)
         V.add(1, (), 2.0)
         V.add(2, (), 5.0)
-        sq = V.times(V, jmax=2)
-        assert sq.terms[(2, 0)] == pytest.approx(4.0)
-        assert (3, 0) not in sq.terms and (4, 0) not in sq.terms
+        V.add(1, (1,), np.ones(REF.n_sites))
+        cov = covariance_band(REF, 2).matrix()
+        out = truncated_integrate(V, 2)
+        # constants join no copy and pass through; two linear copies join by
+        # one line: E^T(V, V) / 2! = sum_xy C(x, y) / 2 at order 2
+        assert out.blocks[(1, ())] == 2.0
+        assert out.blocks[(2, ())] == pytest.approx(5.0 + cov.sum() / 2)
+        assert set(out.blocks) == {(1, ()), (2, ()), (1, (1,))}
+        assert set(truncated_integrate(V, 1).blocks) == {(1, ()), (1, (1,))}
 
     def test_evaluate_matches_kernel_contraction(self):
         V = bare_potential(REF, None, counterterms(REF, LAM), LAM, jmax=1)
@@ -105,10 +113,29 @@ class TestFunctionalAlgebra:
         V.add(1, (4,), np.ones(4))
         V.add(1, (2, 2), np.ones((4, 4)))
         with pytest.raises(ValueError, match="MAX_TENSOR_ENTRIES"):
-            V.times(V, 2)  # the 4^4-entry (2, 2, 2, 2) block
+            truncated_integrate(V, 2)  # the 4^4-entry (2, 2, 2, 2) product
         with pytest.raises(ValueError, match="MAX_TENSOR_ENTRIES"):
             V.terms[(1, 4)]  # the 4^4-entry dense view
         assert V.kernel_norms() == {(1, 4): 1.0}
+
+
+def times(A, B, jmax):
+    """Product of two functionals truncated to lambda-order jmax: vertex
+    lists concatenate and coefficients take the outer product."""
+    out = PotentialFunctional(A.spec, A.h)
+    for (o1, l1), c1 in A.blocks.items():
+        for (o2, l2), c2 in B.blocks.items():
+            if o1 + o2 <= jmax:
+                out.add(o1 + o2, l1 + l2, np.multiply.outer(c1, c2))
+    return out
+
+
+def plus(A, B, factor=1.0):
+    """A + factor * B, as a new functional."""
+    out = PotentialFunctional(A.spec, A.h, dict(A.blocks))
+    for (o, legs), c in B.blocks.items():
+        out.add(o, legs, c * factor)
+    return out
 
 
 def _partial_pairings(k):
@@ -183,7 +210,7 @@ class TestGaussExpectOracle:
             cov = covariance_band(REF, h).matrix()
             assert_matches_pairing_sum(V, cov)
             if j >= 2:
-                assert_matches_pairing_sum(V.times(V, j), cov)
+                assert_matches_pairing_sum(times(V, V, j), cov)
             V = truncated_integrate(V, j)
 
 
@@ -242,21 +269,22 @@ class TestInPlaceCumulants:
 
 
 def rounding_scale(V, j):
-    """The engine's step on |coefficients| and |C| with every cumulant term
-    added: per kernel, the size of the terms its entries sum, which sets
-    their rounding error.  Kernels that cancel down to that error
-    (renormalized constants, the quadratic kernel at h = 0) have a largest
-    |entry| far below it."""
+    """The oracle's step, cumulants by moments, on |coefficients| and |C|
+    with every term added: per kernel, the size of the terms its entries
+    sum, which sets their rounding error (the engine's connected terms are
+    a part of them).  Kernels that cancel down to that error (renormalized
+    constants, the quadratic kernel at h = 0, the oracle's disconnected
+    kernels) have a largest |entry| far below it."""
     A = PotentialFunctional(V.spec, V.h, {key: np.abs(c) for key, c in V.blocks.items()})
     cov = np.abs(covariance_band(V.spec, V.h).matrix())
     m1 = out = A.gauss_expect(cov, V.h - 1)
     if j >= 2:
-        A2 = A.times(A, j)
+        A2 = times(A, A, j)
         m2 = A2.gauss_expect(cov, V.h - 1)
-        out = out.plus(m2.plus(m1.times(m1, j)), 0.5)
+        out = plus(out, plus(m2, times(m1, m1, j)), 0.5)
     if j >= 3:
-        third = A2.times(A, j).gauss_expect(cov, V.h - 1).plus(m1.times(m2, j), 3.0)
-        out = out.plus(third.plus(m1.times(m1, j).times(m1, j), 2.0), 1.0 / 6.0)
+        third = plus(times(A2, A, j).gauss_expect(cov, V.h - 1), times(m1, m2, j), 3.0)
+        out = plus(out, plus(third, times(times(m1, m1, j), m1, j), 2.0), 1.0 / 6.0)
     return out
 
 
@@ -280,6 +308,35 @@ def _largest_entries(key, V, D, scale):
     return err, size
 
 
+def monomials(X, key):
+    """One (order, degree) kernel of X's dense view as polynomial
+    coefficients: its entries summed over index orderings, a slab at a time.
+    Multi-index (i_1, ..., i_k) has monomial id sum_a (k + 1)^(i_a), each
+    site's multiplicity a digit in base k + 1; a key X lacks is zero."""
+    n, k = X.spec.n_sites, key[1]
+    ker = np.broadcast_to(X.terms.get(key, 0.0), (n,) * k)
+    if k == 0:
+        return np.array([float(ker)])
+    digits = (k + 1) ** np.arange(n)
+    rest = sum(np.ix_(*[digits] * (k - 1)), 0)
+    return sum(np.bincount(np.ravel(rest + d), weights=np.ravel(slab), minlength=(k + 1) ** n)
+               for d, slab in zip(digits, ker))
+
+
+def assert_polynomials_match(V, D, scale):
+    """Every monomial coefficient of every (order, degree) kernel of the
+    engine equals the oracle's within 1e-12 of the larger of the oracle's
+    and the ``scale`` kernel's largest coefficient; a key one side lacks is
+    zero.  Entries alone may differ: the oracle's cumulants by moments and
+    the engine's connected blocks spread equal coefficients over different
+    index orderings."""
+    for key in dict.fromkeys([*D.terms, *V.terms]):
+        want = monomials(D, key)
+        err = np.max(np.abs(monomials(V, key) - want))
+        size = max(np.max(np.abs(want)), np.max(monomials(scale, key)))
+        assert err <= 1e-12 * size, (key, err, size)
+
+
 def paired_flow(spec, j, f, steps=None):
     """The engine's and the oracle's flows from the same bare potential:
     (V, D, scale) before the first step and after each one."""
@@ -300,12 +357,24 @@ REF3 = LatticeSpec(d=3, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)  # 8 sites
 
 
 class TestDenseOracle:
-    @pytest.mark.parametrize("spec, j, f", [
-        (REF, 1, None), (REF, 1, REF_F), (REF, 2, None), (REF, 2, REF_F), (FOUR, 3, None)])
-    def test_every_step_matches_dense_engine(self, spec, j, f):
-        for V, D, scale in paired_flow(spec, j, f):
-            assert list(V.terms) == list(D.terms)
+    @pytest.mark.parametrize("j, f", [(1, None), (1, REF_F), (2, None), (2, REF_F)])
+    def test_every_step_matches_dense_engine(self, j, f):
+        # the oracle's extra kernels are its disconnected ones, zero to rounding
+        for V, D, scale in paired_flow(REF, j, f):
+            assert set(V.terms) <= set(D.terms)
             assert_views_match(V, D, scale)
+
+    def test_order_three_matches_dense_polynomials(self):
+        for V, D, scale in paired_flow(FOUR, 3, None):
+            assert set(V.terms) <= set(D.terms)
+            assert_polynomials_match(V, D, scale)
+
+    def test_sourced_order_three_flow(self):
+        # one dense j = 3 step with a source is as far as the oracle goes
+        for V, D, scale in paired_flow(REF, 3, REF_F, steps=1):
+            assert_polynomials_match(V, D, scale)
+        V = truncated_integrate(V, 3)
+        assert V.h == 0 and all(np.any(c) for c in V.blocks.values())
 
     def test_one_step_on_64_sites(self):
         spec = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)
@@ -328,6 +397,30 @@ class TestDenseOracle:
                 bound = 1e-12 * max(abs(value), abs(size[name]))
                 assert abs(got.coefficients[name] - value) <= bound, (name, V.h)
         assert (2, 2) in got.rel2.terms or spec.d == 2
+
+
+class TestConnectedBlocks:
+    def test_joined_patterns_link_the_copies(self):
+        # one copy: every pattern; two one-vertex copies: a line between them
+        assert _joined_patterns((4, 2), (0, 0)) == _line_patterns((4, 2))
+        assert _joined_patterns((4, 2), (0, 1)) == tuple(
+            p for p in _line_patterns((4, 2)) if any(ab == (0, 1) for ab, _ in p[0]))
+        # a line inside copy 1 joins nothing; copies 0 and 2 meet only through it
+        for factors, _, _ in _joined_patterns((1, 2, 2, 1), (0, 1, 1, 2)):
+            lines = {ab for ab, _ in factors if len(ab) == 2}
+            assert lines & {(0, 1), (0, 2)} and lines & {(1, 3), (2, 3)}
+
+    @pytest.mark.parametrize("j, f", [(1, None), (1, REF_F), (2, None), (2, REF_F), (3, None)])
+    def test_no_cancelling_blocks(self, j, f):
+        cts = counterterms(REF, LAM, nu_order=j)
+        V = bare_potential(REF, None if f is None else np.asarray(f), cts, LAM, jmax=j)
+        for _ in range(REF.N):
+            V = truncated_integrate(V, j)
+            zero = {key for key, c in V.blocks.items() if not np.any(c)}
+            # at h = 0 the mass counterterm cancels the quadratic block exactly
+            # unless a source feeds it at order 1 (from j = 2 on)
+            assert zero <= ({(1, (2,))} if V.h == 0 else set()), (V.h, zero)
+        assert f is None or j < 2 or not zero
 
 
 class TestMartingale:

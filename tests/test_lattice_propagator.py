@@ -18,8 +18,6 @@ from phi4lab.lattice_propagator import (
     PropagatorKernel,
     _range_weights,
     _wrapped_windows,
-    cache_load,
-    cache_store,
 )
 
 
@@ -246,36 +244,6 @@ class TestBoundReport:
         r1 = bound_report(covariance_band(s, 1))
         r3 = bound_report(covariance_band(s, 3))
         assert r3.decay_rate > r1.decay_rate
-
-
-class TestArtifacts:
-    def test_cache_roundtrip(self, tmp_path):
-        s = spec2()
-        k = covariance_band(s, 2)
-        cache_store(k, str(tmp_path))
-        back = cache_load(s, (1, 2), str(tmp_path))
-        assert back is not None
-        assert np.array_equal(back.values, k.values)
-
-    @pytest.mark.parametrize("build", [covariance_cumulative, covariance_band, difference_kernel])
-    def test_cache_roundtrip_every_kernel_kind(self, tmp_path, build):
-        s = spec2(N=3)
-        k = build(s, 1)
-        cache_store(k, str(tmp_path))
-        back = cache_load(s, k.band, str(tmp_path))
-        assert back.band == k.band
-        assert np.array_equal(back.values, k.values)
-        assert np.array_equal(back.mode_weights, k.mode_weights)
-
-    def test_cache_rejects_wrong_shape(self, tmp_path):
-        s = spec2()
-        path = cache_store(covariance_band(s, 1), str(tmp_path))
-        np.save(path, np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            cache_load(s, (0, 1), str(tmp_path))
-
-    def test_cache_miss_returns_none(self, tmp_path):
-        assert cache_load(spec2(), (0, 1), str(tmp_path)) is None
 
 
 class TestSource:
