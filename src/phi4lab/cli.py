@@ -61,32 +61,38 @@ EXIT_INFEASIBLE = 3
 EXIT_CHECK = 4
 
 
-def common_options(fn):
-    opts = [
-        click.option("--dim", type=click.IntRange(2, 3), default=2, show_default=True,
-                     help="spatial dimension"),
-        click.option("--gamma", type=float, default=2.0, show_default=True,
-                     help="scale ratio > 1"),
-        click.option("--mass", type=float, default=1.0, show_default=True, help="mass m"),
-        click.option("--box", type=float, default=1.0, show_default=True,
-                     help="physical box side L (L*m must be a positive integer)"),
-        click.option("--cutoff", "cutoff", type=int, default=2, show_default=True,
-                     metavar="N", help="ultraviolet cutoff index N"),
-        click.option("--lambda", "lam", type=float, default=0.05, show_default=True,
-                     help="quartic coupling in [0,1)"),
-        click.option("--order", "order", type=int, default=1, show_default=True,
-                     metavar="J", help="perturbative/truncation order j"),
-        click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--samples", type=int, default=1000, show_default=True),
-        click.option("--out", type=click.Path(file_okay=False), default="out",
-                     show_default=True, help="artifact directory"),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                     default="json", show_default=True),
-        click.option("--check", is_flag=True, help="run built-in validation checks"),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+_OPTIONS = {
+    "--dim": click.option("--dim", type=click.IntRange(2, 3), default=2, show_default=True,
+                          help="spatial dimension"),
+    "--gamma": click.option("--gamma", type=float, default=2.0, show_default=True,
+                            help="scale ratio > 1"),
+    "--mass": click.option("--mass", type=float, default=1.0, show_default=True, help="mass m"),
+    "--box": click.option("--box", type=float, default=1.0, show_default=True,
+                          help="physical box side L (L*m must be a positive integer)"),
+    "--cutoff": click.option("--cutoff", "cutoff", type=int, default=2, show_default=True,
+                             metavar="N", help="ultraviolet cutoff index N"),
+    "--lambda": click.option("--lambda", "lam", type=float, default=0.05, show_default=True,
+                             help="quartic coupling in [0,1)"),
+    "--order": click.option("--order", "order", type=int, default=1, show_default=True,
+                            metavar="J", help="perturbative/truncation order j"),
+    "--seed": click.option("--seed", type=int, default=0, show_default=True),
+    "--samples": click.option("--samples", type=int, default=1000, show_default=True),
+    "--out": click.option("--out", type=click.Path(file_okay=False), default="out",
+                          show_default=True, help="artifact directory"),
+    "--format": click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                             default="json", show_default=True),
+    "--check": click.option("--check", is_flag=True, help="run built-in validation checks"),
+}
+_GEOMETRY = ("--dim", "--gamma", "--mass", "--box", "--cutoff")
+
+
+def options(*flags):
+    """Declares ``flags``, --out and --check, in ``_OPTIONS`` order."""
+    def decorate(fn):
+        for flag, opt in reversed(_OPTIONS.items()):
+            fn = opt(fn) if flag in (*flags, "--out", "--check") else fn
+        return fn
+    return decorate
 
 
 def _build_spec(dim, gamma, mass, box, cutoff) -> LatticeSpec:
@@ -138,12 +144,12 @@ def main():
 
 
 @main.command()
-@common_options
-def propagator(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, check):
+@options(*_GEOMETRY, "--format")
+def propagator(dim, gamma, mass, box, cutoff, out, fmt, check):
     """Propagator kernels, band decomposition and decay-bound fits."""
     spec = _build_spec(dim, gamma, mass, box, cutoff)
     out = Path(out)
-    _write_manifest(out, "propagator", spec, {"lambda": lam})
+    _write_manifest(out, "propagator", spec, {})
     cum = covariance_cumulative(spec, spec.N)
     total = np.zeros(spec.shape)
     rows = []
@@ -167,8 +173,8 @@ def propagator(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fm
 
 
 @main.command()
-@common_options
-def sample(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, check):
+@options(*_GEOMETRY, "--lambda", "--seed", "--format")
+def sample(dim, gamma, mass, box, cutoff, lam, seed, out, fmt, check):
     """Draw multiscale Gaussian layers; report norms and large-field regions."""
     spec = _build_spec(dim, gamma, mass, box, cutoff)
     out = Path(out)
@@ -197,8 +203,8 @@ def sample(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, c
 
 
 @main.command()
-@common_options
-def graphs(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, check):
+@options(*_GEOMETRY, "--lambda", "--order", "--format")
+def graphs(dim, gamma, mass, box, cutoff, lam, order, out, fmt, check):
     """Renormalized graph series, counterterm polynomials, oracle checks."""
     spec = _build_spec(dim, gamma, mass, box, cutoff)
     out = Path(out)
@@ -228,8 +234,8 @@ def graphs(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, c
 
 
 @main.command()
-@common_options
-def powercount(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, check):
+@options("--dim")
+def powercount(dim, out, check):
     """Divergence catalog and scale-sum verdicts for cluster topologies."""
     out = Path(out)
     _write_manifest(out, "powercount", None, {"dim": dim})
@@ -251,8 +257,8 @@ def powercount(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fm
 
 
 @main.command()
-@common_options
-def rgflow(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, check):
+@options(*_GEOMETRY, "--lambda", "--order")
+def rgflow(dim, gamma, mass, box, cutoff, lam, order, out, check):
     """Iterate the truncated effective-potential recursion, dump per-scale state."""
     spec = _build_spec(dim, gamma, mass, box, cutoff)
     out = Path(out)
@@ -290,8 +296,8 @@ def rgflow(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, c
 
 
 @main.command()
-@common_options
-def stability(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, fmt, check):
+@options(*_GEOMETRY, "--lambda", "--order", "--seed", "--samples")
+def stability(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, check):
     """Estimate log(Z(f)/Z(0)), compare with the series inside the envelope."""
     spec = _build_spec(dim, gamma, mass, box, cutoff)
     out = Path(out)

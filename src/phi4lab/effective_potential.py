@@ -16,7 +16,9 @@ so a block's pairings collapse to line patterns (t_a self-pairs on vertex a,
 k_ab lines between vertices a < b), each weighted by the number of pairings
 realizing it.  E^T of k copies is the sum over the line patterns whose lines
 join the k copies into one component: no disconnected pattern is formed, so
-no cumulant is built by subtraction.
+no cumulant is built by subtraction.  k = 1 follows the same rule, one copy
+being always joined.  The pattern table picks line counts within each
+vertex's legs and keeps the joined patterns only.
 """
 
 from __future__ import annotations
@@ -60,22 +62,40 @@ def _check_entries(n: int, rank: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _line_patterns(legs: tuple) -> tuple:
-    """Every (factors, r, w) pairing some of the legs of vertices with
-    ``legs`` free legs: factors lists ((a,), t_a) self-pairs and ((a, b), k_ab)
-    lines, r the legs left free per vertex, and w = prod_a legs[a]! /
-    (2^t_a t_a! r_a!) / prod_(a<b) k_ab! the number of partial pairings of
-    the distinguishable legs that realize it."""
-    pairs = list(itertools.combinations(range(len(legs)), 2))
+def _joined_patterns(copy_legs: tuple) -> tuple:
+    """Every (factors, r, w) pairing some legs of the vertices of the copies
+    in ``copy_legs`` (one tuple of free legs per copy) whose lines join the
+    copies into one component: factors lists ((a,), t_a) self-pairs and
+    ((a, b), k_ab) lines over the vertices in copy order, r the legs left free
+    per vertex, and w = prod_a legs[a]! / (2^t_a t_a! r_a!) / prod_(a<b) k_ab!
+    the number of partial pairings of the distinguishable legs that realize it.
+
+    Line counts are picked one vertex pair at a time, never more than the
+    legs both vertices have left, so the patterns come in the lexicographic
+    order of their line counts, then of their self-pairs."""
+    legs = sum(copy_legs, ())
+    owner = tuple(i for i, x in enumerate(copy_legs) for _ in x)
+    pairs = tuple(itertools.combinations(range(len(legs)), 2))
+
+    def line_counts(i: int, left):
+        if i == len(pairs):
+            yield (), left
+            return
+        a, b = pairs[i]
+        for k in range(min(left[a], left[b]) + 1):
+            rest = [x - k if v in (a, b) else x for v, x in enumerate(left)]
+            for ks, r in line_counts(i + 1, rest):
+                yield (k,) + ks, r
+
     out = []
-    for ks in itertools.product(*(range(min(legs[a], legs[b]) + 1) for a, b in pairs)):
-        left = [x - sum(k for p, k in zip(pairs, ks) if a in p) for a, x in enumerate(legs)]
-        # a vertex with more lines than legs has left < 0: an empty range of ts
+    for ks, left in line_counts(0, legs):
+        lines = tuple((p, k) for p, k in zip(pairs, ks) if k)
+        if len(_components(len(copy_legs), [(owner[a], owner[b]) for (a, b), _ in lines])) > 1:
+            continue
         for ts in itertools.product(*(range(x // 2 + 1) for x in left)):
             r = tuple(x - 2 * t for x, t in zip(left, ts))
             den = math.prod(2 ** t * math.factorial(t) * math.factorial(x) for t, x in zip(ts, r))
             w = math.prod(map(math.factorial, legs)) // (den * math.prod(map(math.factorial, ks)))
-            lines = tuple((p, k) for p, k in zip(pairs, ks) if k)
             out.append((tuple(((a,), t) for a, t in enumerate(ts) if t) + lines, r, float(w)))
     return tuple(out)
 
@@ -83,31 +103,6 @@ def _line_patterns(legs: tuple) -> tuple:
 def _along(arr: np.ndarray, axes: tuple, rank: int) -> np.ndarray:
     """``arr`` shaped to broadcast over a rank-``rank`` array, its axes at ``axes``."""
     return arr.reshape([arr.shape[0] if i in axes else 1 for i in range(rank)])
-
-
-@functools.lru_cache(maxsize=None)
-def _joined_patterns(legs: tuple, owner: tuple) -> tuple:
-    """The ``_line_patterns`` of ``legs`` whose lines join the copies into one
-    component, vertex a belonging to copy ``owner[a]``."""
-    def joined(factors):
-        lines = [(owner[ab[0]], owner[ab[1]]) for ab, _ in factors if len(ab) == 2]
-        return len(_components(owner[-1] + 1, lines)) == 1
-    return tuple(p for p in _line_patterns(legs) if joined(p[0]))
-
-
-def _integrate(out: "PotentialFunctional", o: int, legs: tuple, c, cov: np.ndarray,
-               patterns: tuple):
-    """Adds to ``out`` the block (o, legs, c) integrated along ``patterns``:
-    each (factors, r, w) adds c * w * prod_a C(y_a, y_a)^t_a *
-    prod_(a<b) C(y_a, y_b)^k_ab, summed over the positions of the vertices
-    left without legs."""
-    for factors, r, w in patterns:
-        term = c * w
-        for axes, k in factors:
-            line = cov if len(axes) == 2 else np.diagonal(cov)
-            term = term * _along(line ** k, axes, len(legs))
-        gone = tuple(a for a, x in enumerate(r) if x == 0)
-        out.add(o, tuple(x for x in r if x), np.sum(term, axis=gone))
 
 
 class _DenseView(Mapping):
@@ -159,16 +154,6 @@ class PotentialFunctional:
         key = (order, tuple(legs))
         self.blocks[key] = self.blocks[key] + coeff if key in self.blocks else coeff
 
-    def gauss_expect(self, cov: np.ndarray, new_h: int) -> "PotentialFunctional":
-        """Expectation over a Gaussian layer with covariance matrix ``cov``:
-        substitutes field -> lower field + layer and integrates the layer
-        exactly, every block along all of its ``_line_patterns``.  This is
-        the k = 1 term of ``truncated_integrate``."""
-        out = PotentialFunctional(self.spec, new_h)
-        for (o, legs), c in self.blocks.items():
-            _integrate(out, o, legs, c, cov, _line_patterns(legs))
-        return out
-
     def evaluate(self, phi, lam: float) -> float:
         """Numeric value on a concrete field configuration."""
         phi = np.asarray(phi, dtype=float).ravel()
@@ -214,11 +199,10 @@ def wick_power(k: int, c: float) -> dict:
     return out
 
 
-def wick_quartic_potential(spec: LatticeSpec, h: int, variance: float,
-                           prefactor: float = 1.0) -> PotentialFunctional:
-    """The order-1 potential  prefactor * a^d sum_x :phi_x^4:_variance."""
+def wick_quartic_potential(spec: LatticeSpec, h: int, variance: float) -> PotentialFunctional:
+    """The order-1 potential  a^d sum_x :phi_x^4:_variance."""
     V = PotentialFunctional(spec, h)
-    w = spec.a ** spec.d * prefactor
+    w = spec.a ** spec.d
     for degree, coeff in wick_power(4, variance).items():
         V.add(1, (degree,) * (degree > 0),
               np.full(spec.n_sites, coeff * w) if degree else coeff * w * spec.n_sites)
@@ -254,10 +238,13 @@ def truncated_integrate(V: PotentialFunctional, j: int) -> PotentialFunctional:
     """One recursion step: integrate the scale-h layer to order j in lambda,
     sum_{k=1..j} E^T(V, ..., V) / k! over k copies of V.
 
-    E^T of k copies takes, for each ordered choice of one block per copy,
-    the outer product of their coefficients and integrates it along the
-    line patterns whose lines join the k copies (``_joined_patterns``).  A
-    block without legs joins nothing, so for k >= 2 it is never chosen.
+    E^T of k copies takes, for each ordered choice of one block per copy
+    whose orders sum to at most j, the outer product of their coefficients
+    and integrates it along the line patterns whose lines join the k copies
+    (``_joined_patterns``): each (factors, r, w) adds c * w * prod_a
+    C(y_a, y_a)^t_a * prod_(a<b) C(y_a, y_b)^k_ab, summed over the positions
+    of the vertices left without legs.  One copy is always joined; for
+    k >= 2 a copy without legs joins nothing.
 
     Stopping at k = j keeps every term of lambda-order <= j only while each
     block has order >= 1.  A source block has order 0, so with a source the
@@ -269,18 +256,25 @@ def truncated_integrate(V: PotentialFunctional, j: int) -> PotentialFunctional:
     if h < 1:
         raise ValueError("no layer left to integrate")
     cov = covariance_band(V.spec, h).matrix()
-    out = V.gauss_expect(cov, h - 1)
-    legged = [(o, legs, c) for (o, legs), c in V.blocks.items() if legs]
-    for k in range(2, j + 1):
-        for copies in itertools.product(legged, repeat=k):
+    out = PotentialFunctional(V.spec, h - 1)
+    blocks = [(o, legs, c) for (o, legs), c in V.blocks.items()]
+    for k in range(1, j + 1):
+        for copies in itertools.product(blocks, repeat=k):
             orders, copy_legs, coeffs = zip(*copies)
-            if sum(orders) <= j:
-                owner = tuple(i for i, x in enumerate(copy_legs) for _ in x)
-                legs = sum(copy_legs, ())
-                _check_entries(V.spec.n_sites, len(legs))
-                c = functools.reduce(np.multiply.outer, coeffs) / math.factorial(k)
-                _integrate(out, sum(orders), legs, c, cov, _joined_patterns(legs, owner))
-    return PotentialFunctional(V.spec, h - 1, {k: c for k, c in out.blocks.items() if k[0] <= j})
+            patterns = _joined_patterns(copy_legs) if sum(orders) <= j else ()
+            if not patterns:
+                continue
+            legs = sum(copy_legs, ())
+            _check_entries(V.spec.n_sites, len(legs))
+            c = functools.reduce(np.multiply.outer, coeffs) / math.factorial(k)
+            for factors, r, w in patterns:
+                term = c * w
+                for axes, t in factors:
+                    line = cov if len(axes) == 2 else np.diagonal(cov)
+                    term = term * _along(line ** t, axes, len(legs))
+                gone = tuple(a for a, x in enumerate(r) if x == 0)
+                out.add(sum(orders), tuple(x for x in r if x), np.sum(term, axis=gone))
+    return out
 
 
 def flow_constant(spec: LatticeSpec, lam: float, f, j: int,
@@ -372,12 +366,7 @@ def field_independent_part(spec: LatticeSpec, j: int, h: int, lam: float,
     """E(j,h): the order-j log Z density with the difference propagator
     C^(<=N) - C^(<=h).  At h=0 this is the full order-j series; at h=N only
     the propagator-free constant counterterm survives."""
-    if j > 3:
-        raise ValueError("order capped at 3")
-    if cts is None:
-        cts = counterterms(spec, lam, nu_order=j)
-    kernel = difference_kernel(spec, h)
-    sr = logZ_series(spec, lam, f, j, kernel=kernel, cts=cts)
+    sr = logZ_series(spec, lam, f, j, kernel=difference_kernel(spec, h), cts=cts)
     if per_order:
         return sr.coefficients
     return sr.total(lam)

@@ -507,8 +507,7 @@ class SeriesResult:
 
 def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
                 kernel: PropagatorKernel | None = None,
-                cts: Counterterms | None = None,
-                r_max: int = 4) -> SeriesResult:
+                cts: Counterterms | None = None) -> SeriesResult:
     """Renormalized series for (1/|Lambda|) log Z_N(f) through order j in lambda.
 
     All connected graphs over coupling, mass and external elements are summed
@@ -530,8 +529,8 @@ def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
     M = kernel.matrix()
     for n in range(0, j + 1):
         for p in range(0, j + 1 - n):
-            r_top = r_max if (have_f or n + p == 0) else 0
-            for r in range(0, r_top + 1):
+            # external legs carry the source: none without one
+            for r in range(0, 5 if have_f else 1):
                 if n + p + r == 0 or (4 * n + 2 * p + r) % 2:
                     continue
                 part = _family_poly(n, p, r, spec, M, f_arr, cts.mu_poly, j)

@@ -32,6 +32,9 @@ __all__ = [
     "pavement_cubes",
 ]
 
+# Hoelder exponent of the pair field Y and of the layer norm's increment term
+HOELDER_EPS = 0.25
+
 
 def field_threshold(lam: float, scale: float = 1.0) -> float:
     """Large-field threshold base B, proportional to log(e + 1/lambda)."""
@@ -124,30 +127,30 @@ class MultiscaleField:
             return p / math.sqrt(h)
         return p * self.spec.gamma ** (-(self.spec.d - 2) * h / 2.0)
 
-    def Y(self, h: int | None = None, eps: float = 0.25):
+    def Y(self, h: int | None = None):
         """Pair field Y^(h) on displacements shorter than 1/m.
 
         Returns (displacements, array): the read-only (k, d) table of
         _short_displacements and an array where array[k] has, for every site
-        x, the value (phi_x - phi_{x+delta_k}) / (gamma^h |delta_k|)^eps.
+        x, the value (phi_x - phi_{x+delta_k}) / (gamma^h |delta_k|)^HOELDER_EPS.
         """
         h = self.spec.N if h is None else h
         disps, _ = _short_displacements(self.spec)
         out = np.empty((len(disps),) + self.spec.shape)
         k = 0
-        for block, y in self._pair_fields(h, eps):
+        for block, y in self._pair_fields(h):
             out[k:k + len(block)] = y
             k += len(block)
         return disps, out
 
-    def _pair_fields(self, h: int, eps: float):
+    def _pair_fields(self, h: int):
         """(deltas, Y^(h) on them) per block of _displacement_blocks, the
         pair values stacked along a leading displacement axis."""
         p = self.phi(h)
         scale = self.spec.gamma ** h
         for disps, dists, shifted in _displacement_blocks(p, self.spec):
             y = np.subtract(p, shifted, out=shifted)
-            y /= _denominators([(scale * r) ** eps for r in dists], y.ndim)
+            y /= _denominators([(scale * r) ** HOELDER_EPS for r in dists], y.ndim)
             yield disps, y
 
 
@@ -223,10 +226,10 @@ def pavement_cubes(spec: LatticeSpec, level: int):
 
 
 def hoelder_norm(values: np.ndarray, spec: LatticeSpec, origin, side: int,
-                 tau: int | None = None, eps: float = 0.25) -> float:
+                 tau: int | None = None) -> float:
     """Sup-plus-increment norm of a field over one pavement cube.
 
-    max of |z_x| and of |z_x| + tau |z_x - z_eta| / |x - eta|^eps over x in
+    max of |z_x| and of |z_x| + tau |z_x - z_eta| / |x - eta|^HOELDER_EPS over x in
     the cube and eta any site at torus distance 0 < |x - eta| < 1/m.  tau
     defaults to 0 in d=2 and 1 in d=3.  This per-cube form is the oracle for
     the whole-lattice engine of layer_norm_profile and tail_stats.
@@ -245,15 +248,15 @@ def hoelder_norm(values: np.ndarray, spec: LatticeSpec, origin, side: int,
     disps, dists = _short_displacements(spec)
     for delta, r in zip(disps, dists):
         shifted = values[tuple(((cube_idx + delta) % n).T)]
-        cand = np.abs(cube_vals) + tau * np.abs(cube_vals - shifted) / r ** eps
+        cand = np.abs(cube_vals) + tau * np.abs(cube_vals - shifted) / r ** HOELDER_EPS
         best = max(best, float(np.max(cand)))
     return best
 
 
-def _site_norms(z: np.ndarray, spec: LatticeSpec, tau: int | None, eps: float) -> np.ndarray:
+def _site_norms(z: np.ndarray, spec: LatticeSpec, tau: int | None) -> np.ndarray:
     """Per-site Hoelder quantity q_x, whose maximum over a cube is its norm.
 
-    q_x = max(|z_x|, max over short delta of |z_x| + tau |z_x - z_{x+delta}| / r^eps),
+    q_x = max(|z_x|, max over short delta of |z_x| + tau |z_x - z_{x+delta}| / r^HOELDER_EPS),
     the whole lattice shifted by a block of displacements at a time (see
     _displacement_blocks), with the elementwise operations of hoelder_norm
     (additions and products commute exactly).  The lattice axes are the last
@@ -268,7 +271,7 @@ def _site_norms(z: np.ndarray, spec: LatticeSpec, tau: int | None, eps: float) -
     for _, dists, shifted in _displacement_blocks(z, spec):
         cand = np.abs(np.subtract(z, shifted, out=shifted), out=shifted)
         cand *= tau
-        cand /= _denominators([r ** eps for r in dists], cand.ndim)
+        cand /= _denominators([r ** HOELDER_EPS for r in dists], cand.ndim)
         cand += absz
         np.maximum(q, cand.max(axis=0), out=q)
     return q
@@ -288,16 +291,16 @@ def _cube_maxima(q: np.ndarray, spec: LatticeSpec, side: int) -> np.ndarray:
 
 
 def layer_norm_profile(layer: FieldLayer, level: int | None = None,
-                       tau: int | None = None, eps: float = 0.25):
+                       tau: int | None = None):
     """Hoelder norms of a layer over every cube of the pavement Q_level."""
     spec = layer.spec
     level = layer.h if level is None else level
     origins, side = pavement_cubes(spec, level)
-    return origins, _cube_maxima(_site_norms(layer.z, spec, tau, eps), spec, side).tolist()
+    return origins, _cube_maxima(_site_norms(layer.z, spec, tau), spec, side).tolist()
 
 
 def tail_stats(spec: LatticeSpec, h: int, B_grid, n_samples: int = 1000,
-               seed: int = 0, tau: int | None = None, eps: float = 0.25) -> dict:
+               seed: int = 0, tau: int | None = None) -> dict:
     """Monte Carlo tail statistics of the layer norm over the Q_h pavement.
 
     Estimates P(max over cubes of ||z||_Delta <= B) for each B in B_grid with
@@ -311,7 +314,7 @@ def tail_stats(spec: LatticeSpec, h: int, B_grid, n_samples: int = 1000,
     # is its largest per-site quantity.
     lattice_axes = tuple(range(1, spec.d + 1))
     maxima = np.concatenate([
-        _site_norms(_unit_size(values, spec, h), spec, tau, eps).max(axis=lattice_axes)
+        _site_norms(_unit_size(values, spec, h), spec, tau).max(axis=lattice_axes)
         for values in _band_fields(spec, h, range(seed, seed + n_samples))])
     rows = []
     z95 = 1.959963984540054
@@ -351,7 +354,7 @@ class RegionClassification:
 
 
 def classify_regions(fld: MultiscaleField, h: int, B: float,
-                     tau: int | None = None, eps: float = 0.25) -> RegionClassification:
+                     tau: int | None = None) -> RegionClassification:
     """Classify large-field sites, pairs and cubes at scale h with base B.
 
     D1 collects sites where |X^(h)| > B h^4; D2 (d=3 only) pairs closer than
@@ -369,13 +372,13 @@ def classify_regions(fld: MultiscaleField, h: int, B: float,
     d2 = []
     if spec.d == 3:
         # displacement outer, sites in C order inner: argwhere's row order
-        for disps, y in fld._pair_fields(h, eps):
+        for disps, y in fld._pair_fields(h):
             hit = np.argwhere(np.abs(y, out=y) > B * h ** 4)
             if len(d2) + len(hit) > MAX_D2_PAIRS:
                 raise ValueError(f"D2 would pass MAX_D2_PAIRS = {MAX_D2_PAIRS} pairs; raise B")
             eta = hit[:, 1:]
             etap = (eta + disps[hit[:, 0]]) % spec.n_side
             d2.extend(zip(map(tuple, eta.tolist()), map(tuple, etap.tolist())))
-    origins, norms = layer_norm_profile(fld.layers[h], level=h, tau=tau, eps=eps)
+    origins, norms = layer_norm_profile(fld.layers[h], level=h, tau=tau)
     bad = [origin for origin, norm in zip(origins, norms) if norm > B * h ** 2]
     return RegionClassification(B=B, h=h, D1=d1, D2=d2, R=bad, chi_B=1 if not bad else 0)

@@ -236,6 +236,10 @@ def difference_kernel(spec: LatticeSpec, h: int) -> PropagatorKernel:
     return scale_range_kernel(spec, h, spec.N)
 
 
+# Hoelder exponent of the increment bound fitted by bound_report
+BOUND_EPS = 0.5
+
+
 @dataclass
 class BoundReport:
     """Fitted decay/amplitude/regularity constants of a kernel, with residuals."""
@@ -247,15 +251,13 @@ class BoundReport:
     residuals: dict
 
 
-def bound_report(kernel: PropagatorKernel, eps: float = 0.5) -> BoundReport:
+def bound_report(kernel: PropagatorKernel) -> BoundReport:
     """Fit |C(x)| <= amplitude * exp(-rate |x|) and the small-distance increment bound.
 
     The exponential fit uses displacement classes with 0 < |x| <= half the box,
     the Hoelder fit uses increments between displacements below 1/m.  Constants
     are reported as fitted; nothing is asserted about their values here.
     """
-    if not 0 < eps < 1:
-        raise ValueError("Hoelder exponent must lie in (0,1)")
     spec = kernel.spec
     dist = kernel.displacement_distances().ravel()
     vals = kernel.values.ravel()
@@ -268,13 +270,13 @@ def bound_report(kernel: PropagatorKernel, eps: float = 0.5) -> BoundReport:
     slope, intercept = np.polyfit(x, y, 1)
     resid_decay = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
 
-    # Increment bound |C(x) - C(x+delta)| <= c (m |delta|)^eps from pairs below 1/m.
+    # Increment bound |C(x) - C(x+delta)| <= c (m |delta|)^BOUND_EPS from pairs below 1/m.
     near = (dist > 0) & (dist < 1.0 / spec.m)
     if near.sum() < 2:
         raise ValueError("too few displacement classes below 1/m for the increment fit")
     c0 = kernel.at_zero
     incr = np.abs(c0 - vals[near])
-    dd = (spec.m * dist[near]) ** eps
+    dd = (spec.m * dist[near]) ** BOUND_EPS
     good = incr > 1e-300
     if good.sum() < 1:
         hoelder_c, resid_h = 0.0, 0.0
@@ -286,6 +288,6 @@ def bound_report(kernel: PropagatorKernel, eps: float = 0.5) -> BoundReport:
         decay_rate=float(-slope),
         amplitude=float(np.exp(intercept)),
         hoelder_c=hoelder_c,
-        hoelder_eps=eps,
+        hoelder_eps=BOUND_EPS,
         residuals={"decay_rms": resid_decay, "hoelder_spread": resid_h},
     )

@@ -39,6 +39,9 @@ __all__ = [
 
 # the largest grid in use: the default 32 nodes per mode on a 4-site lattice
 QUADRATURE_NODE_CAP = 32 ** 4
+# calibrate_Cj: the coupling C_j is fitted at, and the margin over the gap seen there
+LAM_CAL = 0.1
+SAFETY = 2.0
 
 
 class InfeasibleSizeError(ValueError):
@@ -53,7 +56,6 @@ class ExperimentConfig:
     lam: float
     f: tuple = None
     j: int = 1
-    B_scale: float = 1.0
     method: str = "exact-quadrature"
     seed: int = 0
     n_samples: int = 100_000
@@ -80,7 +82,7 @@ class ExperimentConfig:
     def B(self) -> float:
         if self.lam == 0.0:
             return float("inf")
-        return field_threshold(self.lam, self.B_scale)
+        return field_threshold(self.lam)
 
 
 @dataclass
@@ -92,7 +94,6 @@ class StabilityReport:
     series_value: float
     envelope: float
     inside: bool
-    fourth_cumulant: float | None = None
     extras: dict = field(default_factory=dict)
 
 
@@ -207,33 +208,31 @@ def series_prediction(cfg: ExperimentConfig, cts: Counterterms | None = None) ->
     return with_f.total(cfg.lam) - without.total(cfg.lam)
 
 
-def calibrate_Cj(cfg: ExperimentConfig, lam_cal: float = 0.1,
-                 safety: float = 2.0) -> float:
-    """Fit the remainder constant C_j at a calibration coupling.
+def calibrate_Cj(cfg: ExperimentConfig) -> float:
+    """Fit the remainder constant C_j at the calibration coupling LAM_CAL.
 
-    The observed |quadrature - series| discrepancy at lam_cal fixes C_j so the
-    envelope with that constant covers the discrepancy with a safety margin;
+    The observed |quadrature - series| discrepancy at LAM_CAL fixes C_j so the
+    envelope with that constant covers the discrepancy SAFETY times over;
     the lambda^(j+1) scaling of both sides then keeps smaller couplings inside.
     """
-    cal = replace(cfg, lam=lam_cal, method="exact-quadrature")
-    cts = counterterms(cal.spec, lam_cal, nu_order=cal.j)
+    cal = replace(cfg, lam=LAM_CAL, method="exact-quadrature")
+    cts = counterterms(cal.spec, LAM_CAL, nu_order=cal.j)
     quad = _quadrature_log_ratio(cal, cts)[1.0] / (cal.spec.n_sites * cal.spec.a ** cal.spec.d)
     series = series_prediction(cal, cts)
-    shape = sum(remainder_bound(cal.j, h, lam_cal, cal.B, cal.spec.d,
+    shape = sum(remainder_bound(cal.j, h, LAM_CAL, cal.B, cal.spec.d,
                                 C_j=1.0, gamma=cal.spec.gamma).value
                 for h in range(1, cal.spec.N + 1))
     gap = abs(quad - series)
     if shape <= 0:
         return 1.0
-    return safety * gap / shape
+    return SAFETY * gap / shape
 
 
 def estimate_Z(cfg: ExperimentConfig, cts: Counterterms | None = None,
-               C_j: float | None = None, tail: float = 0.0) -> StabilityReport:
+               C_j: float | None = None) -> StabilityReport:
     """Estimate (1/|Lambda|) log(Z(f)/Z(0)) and compare with the series.
 
-    The envelope is sum_h R(j,h) with the (fitted) constant C_j plus an
-    optional fitted tail term.
+    The envelope is sum_h R(j,h) with the (fitted) constant C_j.
     """
     spec = cfg.spec
     if cts is None:
@@ -248,11 +247,11 @@ def estimate_Z(cfg: ExperimentConfig, cts: Counterterms | None = None,
     series = series_prediction(cfg, cts)
     if cfg.lam == 0.0:
         C_j = 0.0
-        envelope = tail
+        envelope = 0.0
     else:
         if C_j is None:
             C_j = calibrate_Cj(cfg)
-        envelope = tail + sum(
+        envelope = sum(
             remainder_bound(cfg.j, h, cfg.lam, cfg.B, spec.d,
                             C_j=C_j, gamma=spec.gamma).value
             for h in range(1, spec.N + 1))
@@ -289,7 +288,7 @@ def _refine_source(f, old_spec: LatticeSpec, new_spec: LatticeSpec) -> tuple:
     return tuple(arr.ravel())
 
 
-def stability_envelope(cfg: ExperimentConfig, N_range, tail: float = 0.0) -> dict:
+def stability_envelope(cfg: ExperimentConfig, N_range) -> dict:
     """Estimates across cutoffs at fixed physical volume, against one envelope.
 
     The lattice is refined as N grows (L and m fixed); exact quadrature is
@@ -308,7 +307,7 @@ def stability_envelope(cfg: ExperimentConfig, N_range, tail: float = 0.0) -> dic
                       f=None if cfg.f is None else _refine_source(cfg.f, spec, sp))
         if C_j is None and method == "exact-quadrature" and cfg.lam > 0:
             C_j = calibrate_Cj(sub)
-        reports[int(N)] = estimate_Z(sub, C_j=C_j, tail=tail)
+        reports[int(N)] = estimate_Z(sub, C_j=C_j)
     values = [r.value for r in reports.values()]
     spread = max(values) - min(values) if values else 0.0
     envelope = max(r.envelope + r.error for r in reports.values()) if reports else 0.0

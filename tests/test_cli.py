@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import pytest
@@ -13,6 +14,16 @@ import dense_potential as dense
 
 REF_ARGS = ["--gamma", str(math.sqrt(2)), "--box", "0.25", "--mass", "4",
             "--cutoff", "2"]
+GEOMETRY = ["--dim", "--gamma", "--mass", "--box", "--cutoff"]
+# the flags besides --out and --check that each subcommand reads
+FLAGS = {
+    "propagator": [*GEOMETRY, "--format"],
+    "sample": [*GEOMETRY, "--lambda", "--seed", "--format"],
+    "graphs": [*GEOMETRY, "--lambda", "--order", "--format"],
+    "powercount": ["--dim"],
+    "rgflow": [*GEOMETRY, "--lambda", "--order"],
+    "stability": [*GEOMETRY, "--lambda", "--order", "--seed", "--samples"],
+}
 
 
 @pytest.fixture
@@ -32,6 +43,24 @@ class TestPlumbing:
 
     def test_unknown_flag_is_usage_error(self, runner):
         assert runner.invoke(main, ["propagator", "--frobnicate"]).exit_code == 2
+
+    @pytest.mark.parametrize("command, flags", list(FLAGS.items()))
+    def test_help_lists_the_flags_read(self, runner, command, flags):
+        result = run_ok(runner, [command, "--help"])
+        listed = re.findall(r"^\s+(--[\w-]+)", result.output, re.MULTILINE)
+        assert sorted(listed) == sorted([*flags, "--out", "--check", "--help"])
+
+    @pytest.mark.parametrize("command, flag", [("propagator", "--lambda"), ("sample", "--order"),
+                                               ("graphs", "--seed"), ("powercount", "--cutoff"),
+                                               ("rgflow", "--samples"), ("stability", "--format")])
+    def test_flag_a_command_does_not_read_is_usage_error(self, runner, command, flag, tmp_path):
+        result = runner.invoke(main, [command, flag, "1", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_settable_flag_values(self):
+        # 12 flags on each of six subcommands were 72 settable values
+        assert sum(len(cmd.params) for cmd in main.commands.values()) == 51
 
     def test_bad_geometry_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["propagator", "--box", "0.7",

@@ -19,10 +19,10 @@ from phi4lab import (
     remainder_bound,
     flow_constant,
 )
+from phi4lab.feynman_graphs import _components
 from phi4lab.effective_potential import (
     PotentialFunctional,
     _joined_patterns,
-    _line_patterns,
     remainder_partial_sums,
     wick_quartic_potential,
 )
@@ -82,11 +82,11 @@ class TestFunctionalAlgebra:
                        + REF.n_sites * cts.nu_poly[1])
         assert V.evaluate(phi, 1.0) == pytest.approx(direct)
 
-    def test_gauss_expect_of_quadratic(self):
+    def test_step_of_quadratic(self):
         V = PotentialFunctional(REF, 2)
         V.add(1, (2,), np.ones(REF.n_sites))
         cov = covariance_band(REF, 2).matrix()
-        out = V.gauss_expect(cov, 1)
+        out = truncated_integrate(V, 1)
         # E[(phi+z)^2] per site = phi^2 + C(0): constant picks up the trace
         assert out.terms[(1, 0)] == pytest.approx(np.trace(cov))
         assert np.allclose(out.terms[(1, 2)], np.eye(REF.n_sites))
@@ -130,11 +130,12 @@ def times(A, B, jmax):
     return out
 
 
-def plus(A, B, factor=1.0):
-    """A + factor * B, as a new functional."""
-    out = PotentialFunctional(A.spec, A.h, dict(A.blocks))
-    for (o, legs), c in B.blocks.items():
-        out.add(o, legs, c * factor)
+def at_most_order_one(V):
+    """V with every block of order above 1 moved to order 1, so that the
+    k = 1 term of a j = 1 step, its Gaussian expectation, keeps it."""
+    out = PotentialFunctional(V.spec, V.h)
+    for (o, legs), c in V.blocks.items():
+        out.add(min(o, 1), legs, c)
     return out
 
 
@@ -153,7 +154,7 @@ def _partial_pairings(k):
 
 
 def pairing_sum(terms, cov):
-    """Oracle for gauss_expect: every partial pairing of each kernel's indices
+    """Oracle for a Gaussian expectation: every partial pairing of each kernel's indices
     contracted with cov by one einsum, the unpaired indices left in order."""
     letters = "abcdefghijklmnopqrst"
     out = {}
@@ -174,10 +175,11 @@ def pairing_sum(terms, cov):
     return out
 
 
-def assert_matches_pairing_sum(V, cov):
-    """gauss_expect equals the pairing sum entry by entry, within 1e-13 of the
-    entry's sum of absolute pairing contributions (its rounding scale)."""
-    got = V.gauss_expect(cov, V.h - 1).terms
+def assert_matches_pairing_sum(V, got, cov):
+    """``got``, the expectation of V over a layer of covariance ``cov``,
+    equals the pairing sum entry by entry, within 1e-13 of the entry's sum
+    of absolute pairing contributions (its rounding scale)."""
+    got = got.terms
     want = pairing_sum(V.terms, cov)
     scale = pairing_sum({key: np.abs(ker) for key, ker in V.terms.items()}, np.abs(cov))
     assert got.keys() == want.keys()
@@ -199,7 +201,19 @@ class TestGaussExpectOracle:
             for order in (degree % 3, 3):
                 V.add_term(order, degree, float(rng.normal()) if degree == 0
                            else rng.normal(size=(3,) * degree))
-        assert_matches_pairing_sum(V, cov)
+        assert_matches_pairing_sum(V, V.gauss_expect(cov, 1), cov)
+
+    def test_random_dense_kernels_through_one_copy(self):
+        # a dense kernel of degree k is the block of k one-leg vertices; at
+        # orders <= 1 a j = 1 step is the k = 1 term, the expectation alone
+        rng = np.random.default_rng(7)
+        V = PotentialFunctional(REF, 2)
+        for degree in range(9):
+            for order in (0, 1):
+                V.add(order, (1,) * degree, float(rng.normal()) if degree == 0
+                      else rng.normal(size=(REF.n_sites,) * degree))
+        cov = covariance_band(REF, 2).matrix()
+        assert_matches_pairing_sum(V, truncated_integrate(V, 1), cov)
 
     @pytest.mark.parametrize("j", [1, 2])
     @pytest.mark.parametrize("f", [None, (0.6, -0.4, 0.2, 0.5)])
@@ -208,9 +222,9 @@ class TestGaussExpectOracle:
         V = bare_potential(REF, None if f is None else np.asarray(f), cts, LAM, jmax=j)
         for h in range(REF.N, 0, -1):
             cov = covariance_band(REF, h).matrix()
-            assert_matches_pairing_sum(V, cov)
-            if j >= 2:
-                assert_matches_pairing_sum(times(V, V, j), cov)
+            for W in [V] + [times(V, V, j)] * (j >= 2):
+                W = at_most_order_one(W)
+                assert_matches_pairing_sum(W, truncated_integrate(W, 1), cov)
             V = truncated_integrate(V, j)
 
 
@@ -268,23 +282,33 @@ class TestInPlaceCumulants:
                 assert np.asarray(got.terms[key]).tobytes() == np.asarray(ker).tobytes()
 
 
+def absolute(V):
+    """The dense oracle functional of the engine's |coefficients|, summed
+    block by block: each entry bounds the |entry| of V's dense view."""
+    A = PotentialFunctional(V.spec, V.h, {key: np.abs(c) for key, c in V.blocks.items()})
+    return dense.PotentialFunctional(V.spec, V.h, dict(A.terms))
+
+
 def rounding_scale(V, j):
-    """The oracle's step, cumulants by moments, on |coefficients| and |C|
-    with every term added: per kernel, the size of the terms its entries
+    """The dense oracle's step, cumulants by moments, on |coefficients| and
+    |C| with every term added: per kernel, the size of the terms its entries
     sum, which sets their rounding error (the engine's connected terms are
     a part of them).  Kernels that cancel down to that error (renormalized
     constants, the quadratic kernel at h = 0, the oracle's disconnected
-    kernels) have a largest |entry| far below it."""
-    A = PotentialFunctional(V.spec, V.h, {key: np.abs(c) for key, c in V.blocks.items()})
+    kernels) have a largest |entry| far below it.  Sums are taken in place,
+    as in ``dense.truncated_integrate``."""
+    A = absolute(V)
     cov = np.abs(covariance_band(V.spec, V.h).matrix())
-    m1 = out = A.gauss_expect(cov, V.h - 1)
+    m1 = A.gauss_expect(cov, V.h - 1)
+    out = m1.truncate(j)
     if j >= 2:
-        A2 = times(A, A, j)
+        A2 = A.times(A, j)
         m2 = A2.gauss_expect(cov, V.h - 1)
-        out = plus(out, plus(m2, times(m1, m1, j)), 0.5)
+        out = out.add_into(m2.add_into(m1.times(m1, j)).scale(0.5))
     if j >= 3:
-        third = plus(times(A2, A, j).gauss_expect(cov, V.h - 1), times(m1, m2, j), 3.0)
-        out = plus(out, plus(third, times(times(m1, m1, j), m1, j), 2.0), 1.0 / 6.0)
+        third = A2.times(A, j).gauss_expect(cov, V.h - 1).add_into(m1.times(m2, j).scale(3.0))
+        cube = m1.times(m1, j).times(m1, j).scale(2.0)
+        out = out.add_into(third.add_into(cube).scale(1.0 / 6.0))
     return out
 
 
@@ -344,7 +368,7 @@ def paired_flow(spec, j, f, steps=None):
     f = None if f is None else np.asarray(f)
     V = bare_potential(spec, f, cts, LAM, jmax=j)
     D = dense.bare_potential(spec, f, cts, LAM, jmax=j)
-    yield V, D, V
+    yield V, D, absolute(V)
     for _ in range(spec.N if steps is None else steps):
         scale = rounding_scale(V, j)
         V, D = truncated_integrate(V, j), dense.truncated_integrate(D, j)
@@ -379,9 +403,13 @@ class TestDenseOracle:
     def test_one_step_on_64_sites(self):
         spec = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)
         # no order-1 kernel cancels before h = 0: the oracle's own entries
-        # set the scale, and no third 64^4 view is built
-        for V, D, _ in paired_flow(spec, 1, None, steps=1):
-            assert_views_match(V, D, D)
+        # set the scale, and no third 64^4 kernel is built
+        cts = counterterms(spec, LAM, nu_order=1)
+        V, D = bare_potential(spec, None, cts, LAM, jmax=1), dense.bare_potential(
+            spec, None, cts, LAM, jmax=1)
+        assert_views_match(V, D, D)
+        V, D = truncated_integrate(V, 1), dense.truncated_integrate(D, 1)
+        assert_views_match(V, D, D)
         assert V.h == 1 and all(len(legs) == 1 for _, legs in V.blocks if legs)
 
     @pytest.mark.parametrize("spec, j, f", [(REF, 2, REF_F), (REF3, 1, None),
@@ -392,23 +420,82 @@ class TestDenseOracle:
             got, want = relevant_split(V, LAM), dense.relevant_split(D, LAM)
             for part in ("rel1", "rel2", "irr"):
                 assert_views_match(getattr(got, part), getattr(want, part), scale)
-            size = relevant_split(scale, LAM).coefficients
+            size = dense.relevant_split(scale, LAM).coefficients
             for name, value in want.coefficients.items():
                 bound = 1e-12 * max(abs(value), abs(size[name]))
                 assert abs(got.coefficients[name] - value) <= bound, (name, V.h)
         assert (2, 2) in got.rel2.terms or spec.d == 2
 
 
+def line_patterns(legs):
+    """Every (factors, r, w) line pattern of vertices with ``legs`` free legs,
+    by brute force: every multiset of lines over all vertex pairs, in
+    ``itertools.product`` order, those with more lines than legs at a vertex
+    giving no self-pairs and so no pattern."""
+    pairs = list(itertools.combinations(range(len(legs)), 2))
+    out = []
+    for ks in itertools.product(*(range(min(legs[a], legs[b]) + 1) for a, b in pairs)):
+        left = [x - sum(k for p, k in zip(pairs, ks) if a in p) for a, x in enumerate(legs)]
+        for ts in itertools.product(*(range(x // 2 + 1) for x in left)):
+            r = tuple(x - 2 * t for x, t in zip(left, ts))
+            den = math.prod(2 ** t * math.factorial(t) * math.factorial(x) for t, x in zip(ts, r))
+            w = math.prod(map(math.factorial, legs)) // (den * math.prod(map(math.factorial, ks)))
+            lines = tuple((p, k) for p, k in zip(pairs, ks) if k)
+            out.append((tuple(((a,), t) for a, t in enumerate(ts) if t) + lines, r, float(w)))
+    return tuple(out)
+
+
+def joined_patterns_oracle(copy_legs):
+    """The ``line_patterns`` of the copies' vertices whose lines join the
+    copies into one component, by union-find over the copies."""
+    owner = [i for i, x in enumerate(copy_legs) for _ in x]
+
+    def joined(factors):
+        lines = [(owner[ab[0]], owner[ab[1]]) for ab, _ in factors if len(ab) == 2]
+        return len(_components(len(copy_legs), lines)) == 1
+    return tuple(p for p in line_patterns(sum(copy_legs, ())) if joined(p[0]))
+
+
+def flow_copy_legs(j, f):
+    """Every copy-leg tuple a step of the REF flow integrates: for k = 1..j
+    copies, each ordered choice of blocks whose orders sum to at most j."""
+    cts = counterterms(REF, LAM, nu_order=j)
+    V = bare_potential(REF, None if f is None else np.asarray(f), cts, LAM, jmax=j)
+    found = set()
+    for _ in range(REF.N):
+        for k in range(1, j + 1):
+            for copies in itertools.product(V.blocks, repeat=k):
+                if sum(o for o, _ in copies) <= j:
+                    found.add(tuple(legs for _, legs in copies))
+        V = truncated_integrate(V, j)
+    return sorted(found)
+
+
 class TestConnectedBlocks:
     def test_joined_patterns_link_the_copies(self):
         # one copy: every pattern; two one-vertex copies: a line between them
-        assert _joined_patterns((4, 2), (0, 0)) == _line_patterns((4, 2))
-        assert _joined_patterns((4, 2), (0, 1)) == tuple(
-            p for p in _line_patterns((4, 2)) if any(ab == (0, 1) for ab, _ in p[0]))
+        assert _joined_patterns(((4, 2),)) == line_patterns((4, 2))
+        assert _joined_patterns(((4,), (2,))) == tuple(
+            p for p in line_patterns((4, 2)) if any(ab == (0, 1) for ab, _ in p[0]))
         # a line inside copy 1 joins nothing; copies 0 and 2 meet only through it
-        for factors, _, _ in _joined_patterns((1, 2, 2, 1), (0, 1, 1, 2)):
+        for factors, _, _ in _joined_patterns(((1,), (2, 2), (1,))):
             lines = {ab for ab, _ in factors if len(ab) == 2}
             assert lines & {(0, 1), (0, 2)} and lines & {(1, 3), (2, 3)}
+        # a leg-free copy joins nothing, and three single legs cannot join three copies
+        assert _joined_patterns(((4,), (), (4,))) == _joined_patterns(((1,), (1,), (1,))) == ()
+        assert _joined_patterns(((),)) == (((), (), 1.0),)
+
+    @pytest.mark.parametrize("copy_legs", [
+        ((4,), (4,), (4,)), ((1,), (2, 2), (1,)), ((3, 1), (1,), (2,)), ((2,), (1, 1), (4,)),
+        ((1,), (1,), (2,)), ((4,), (), (4,)), ((3, 3), (1,), (1,))])
+    def test_three_copies_match_brute_force(self, copy_legs):
+        assert _joined_patterns(copy_legs) == joined_patterns_oracle(copy_legs)
+
+    @pytest.mark.parametrize("j, f", [(1, None), (1, REF_F), (2, None), (2, REF_F)])
+    def test_flow_tables_match_brute_force(self, j, f):
+        # same patterns in the same order: every step sums in the same order
+        for copy_legs in flow_copy_legs(j, f):
+            assert _joined_patterns(copy_legs) == joined_patterns_oracle(copy_legs), copy_legs
 
     @pytest.mark.parametrize("j, f", [(1, None), (1, REF_F), (2, None), (2, REF_F), (3, None)])
     def test_no_cancelling_blocks(self, j, f):

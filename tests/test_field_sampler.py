@@ -285,7 +285,7 @@ class TestBlockEngine:
                 shifted = np.roll(zs, [-c for c in delta], axis=(1, 2, 3))
                 np.maximum(expected, np.abs(zs) + np.abs(zs - shifted) / r ** 0.25,
                            out=expected)
-        assert np.array_equal(field_sampler._site_norms(zs, CUBE8, 1, 0.25), expected)
+        assert np.array_equal(field_sampler._site_norms(zs, CUBE8, 1), expected)
 
     def test_displacement_table_is_cached_and_read_only(self):
         disps, dists = _short_displacements(CUBE8)
