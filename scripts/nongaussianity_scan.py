@@ -28,8 +28,7 @@ def main():
 
     rows = []
     for lam in args.lam:
-        cfg = ExperimentConfig(spec=spec, lam=lam, f=f,
-                               method="exact-quadrature")
+        cfg = ExperimentConfig(spec=spec, lam=lam, f=f)
         res = nongaussianity(cfg)
         rows.append((lam, res["kappa4"], res["prediction"],
                      res["relative_gap"]))

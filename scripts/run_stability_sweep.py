@@ -35,8 +35,7 @@ def main():
 
     rows = []
     for lam in lams:
-        cfg = ExperimentConfig(spec=spec, lam=float(lam), f=f, j=args.order,
-                               method="exact-quadrature")
+        cfg = ExperimentConfig(spec=spec, lam=float(lam), f=f, j=args.order)
         rep = estimate_Z(cfg, C_j=calibrate_Cj(cfg))
         gap = abs(rep.value - rep.series_value)
         rows.append((float(lam), rep.value, rep.series_value, gap,

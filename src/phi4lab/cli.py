@@ -3,7 +3,9 @@
 Every run writes a manifest JSON (full configuration, spec hash, versions)
 next to its artifacts so any result can be reproduced bit for bit.  Exit
 codes: 0 success, 2 configuration error, 3 infeasible-size guard, 4 failed
-``--check`` validation.
+``--check`` validation.  The library owns every size and order guard and
+raises InfeasibleSizeError before the large allocation; ``options`` maps it
+to exit 3 and any other ValueError to exit 2, for every subcommand.
 """
 
 from __future__ import annotations
@@ -11,10 +13,8 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
 import platform
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .lattice_propagator import (
+    InfeasibleSizeError,
     LatticeSpec,
     covariance_band,
     covariance_cumulative,
@@ -46,15 +47,9 @@ from .effective_potential import (
     relevant_split,
     field_independent_part,
     remainder_bound,
-    MAX_TENSOR_ENTRIES,
+    require_flow,
 )
-from .stability_lab import (
-    ExperimentConfig,
-    InfeasibleSizeError,
-    estimate_Z,
-    nongaussianity,
-    quadrature_feasible,
-)
+from .stability_lab import ExperimentConfig, estimate_Z, nongaussianity
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -87,20 +82,24 @@ _GEOMETRY = ("--dim", "--gamma", "--mass", "--box", "--cutoff")
 
 
 def options(*flags):
-    """Declares ``flags``, --out and --check, in ``_OPTIONS`` order."""
+    """Declares ``flags``, --out and --check, in ``_OPTIONS`` order, and runs
+    the command under the one refusal handler: InfeasibleSizeError exits 3,
+    any other ValueError exits 2, each with its message on stderr."""
     def decorate(fn):
+        @functools.wraps(fn)
+        def run(**kwargs):
+            try:
+                return fn(**kwargs)
+            except InfeasibleSizeError as exc:
+                click.echo(f"infeasible: {exc}", err=True)
+                sys.exit(EXIT_INFEASIBLE)
+            except ValueError as exc:
+                click.echo(f"configuration error: {exc}", err=True)
+                sys.exit(EXIT_CONFIG)
         for flag, opt in reversed(_OPTIONS.items()):
-            fn = opt(fn) if flag in (*flags, "--out", "--check") else fn
-        return fn
+            run = opt(run) if flag in (*flags, "--out", "--check") else run
+        return run
     return decorate
-
-
-def _build_spec(dim, gamma, mass, box, cutoff) -> LatticeSpec:
-    try:
-        return LatticeSpec(d=dim, L=box, m=mass, gamma=gamma, N=cutoff)
-    except ValueError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
 
 
 def _write_manifest(out: Path, command: str, spec: LatticeSpec | None, params: dict):
@@ -147,7 +146,7 @@ def main():
 @options(*_GEOMETRY, "--format")
 def propagator(dim, gamma, mass, box, cutoff, out, fmt, check):
     """Propagator kernels, band decomposition and decay-bound fits."""
-    spec = _build_spec(dim, gamma, mass, box, cutoff)
+    spec = LatticeSpec(d=dim, L=box, m=mass, gamma=gamma, N=cutoff)
     out = Path(out)
     _write_manifest(out, "propagator", spec, {})
     cum = covariance_cumulative(spec, spec.N)
@@ -176,7 +175,7 @@ def propagator(dim, gamma, mass, box, cutoff, out, fmt, check):
 @options(*_GEOMETRY, "--lambda", "--seed", "--format")
 def sample(dim, gamma, mass, box, cutoff, lam, seed, out, fmt, check):
     """Draw multiscale Gaussian layers; report norms and large-field regions."""
-    spec = _build_spec(dim, gamma, mass, box, cutoff)
+    spec = LatticeSpec(d=dim, L=box, m=mass, gamma=gamma, N=cutoff)
     out = Path(out)
     _write_manifest(out, "sample", spec, {"lambda": lam, "seed": seed})
     layers = [sample_layer(spec, h, seed) for h in range(1, spec.N + 1)]
@@ -206,12 +205,9 @@ def sample(dim, gamma, mass, box, cutoff, lam, seed, out, fmt, check):
 @options(*_GEOMETRY, "--lambda", "--order", "--format")
 def graphs(dim, gamma, mass, box, cutoff, lam, order, out, fmt, check):
     """Renormalized graph series, counterterm polynomials, oracle checks."""
-    spec = _build_spec(dim, gamma, mass, box, cutoff)
+    spec = LatticeSpec(d=dim, L=box, m=mass, gamma=gamma, N=cutoff)
     out = Path(out)
     _write_manifest(out, "graphs", spec, {"lambda": lam, "order": order})
-    if order > 3:
-        click.echo("infeasible: series order capped at 3", err=True)
-        sys.exit(EXIT_INFEASIBLE)
     cts = counterterms(spec, max(lam, 1e-12), nu_order=order)
     series = logZ_series(spec, lam, None, order, cts=cts)
     _dump_json(out, "counterterms", {
@@ -260,13 +256,10 @@ def powercount(dim, out, check):
 @options(*_GEOMETRY, "--lambda", "--order")
 def rgflow(dim, gamma, mass, box, cutoff, lam, order, out, check):
     """Iterate the truncated effective-potential recursion, dump per-scale state."""
-    spec = _build_spec(dim, gamma, mass, box, cutoff)
+    spec = LatticeSpec(d=dim, L=box, m=mass, gamma=gamma, N=cutoff)
     out = Path(out)
     _write_manifest(out, "rgflow", spec, {"lambda": lam, "order": order})
-    # sourceless blocks have at most `order` vertices: n_sites^order coefficients
-    if order > 3 or spec.n_sites ** max(order, 1) > MAX_TENSOR_ENTRIES:
-        click.echo("infeasible: lattice too large for the recursion engine", err=True)
-        sys.exit(EXIT_INFEASIBLE)
+    require_flow(spec, order)
     lam_eff = max(lam, 1e-12)
     cts = counterterms(spec, lam_eff, nu_order=order)
     V = bare_potential(spec, None, cts, lam_eff, jmax=order)
@@ -299,32 +292,23 @@ def rgflow(dim, gamma, mass, box, cutoff, lam, order, out, check):
 @options(*_GEOMETRY, "--lambda", "--order", "--seed", "--samples")
 def stability(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, check):
     """Estimate log(Z(f)/Z(0)), compare with the series inside the envelope."""
-    spec = _build_spec(dim, gamma, mass, box, cutoff)
+    spec = LatticeSpec(d=dim, L=box, m=mass, gamma=gamma, N=cutoff)
     out = Path(out)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     f = tuple(rng.uniform(-0.5, 0.5, spec.n_sites))
-    try:
-        cfg = ExperimentConfig(spec=spec, lam=lam, f=f, j=order, seed=seed,
-                               n_samples=max(samples, 1000))
-        if not quadrature_feasible(spec, cfg.gh_nodes):
-            cfg = replace(cfg, method="MC")
-        params = {"lambda": lam, "order": order, "seed": seed, "method": cfg.method}
-        if cfg.method == "MC":
-            params["samples"], params["samples_requested"] = cfg.n_samples, samples
-            if cfg.n_samples != samples:
-                click.echo(f"note: --samples {samples} raised to {cfg.n_samples}, "
-                           "the fewest the MC estimators use", err=True)
-        else:
-            params["quadrature_nodes"] = cfg.gh_nodes ** spec.n_sites
-        _write_manifest(out, "stability", spec, params)
-        report = estimate_Z(cfg)
-        kappa = nongaussianity(cfg) if cfg.method == "exact-quadrature" else None
-    except InfeasibleSizeError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
-    except ValueError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = ExperimentConfig(spec=spec, lam=lam, f=f, j=order, seed=seed,
+                           n_samples=max(samples, 1000))
+    params = {"lambda": lam, "order": order, "seed": seed, "method": cfg.method}
+    if cfg.method == "MC":
+        params["samples"], params["samples_requested"] = cfg.n_samples, samples
+        if cfg.n_samples != samples:
+            click.echo(f"note: --samples {samples} raised to {cfg.n_samples}, "
+                       "the fewest the MC estimators use", err=True)
+    else:
+        params["quadrature_nodes"] = cfg.gh_nodes ** spec.n_sites
+    _write_manifest(out, "stability", spec, params)
+    report = estimate_Z(cfg)
+    kappa = nongaussianity(cfg) if cfg.method == "exact-quadrature" else None
     payload = {
         "method": cfg.method,
         "value": report.value, "error": report.error,

@@ -33,12 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice_propagator import (
+    InfeasibleSizeError,
     LatticeSpec,
     covariance_band,
     covariance_cumulative,
     difference_kernel,
 )
-from .feynman_graphs import Counterterms, _components, counterterms, logZ_series
+from .feynman_graphs import Counterterms, _check_order, _components, counterterms, logZ_series
 
 __all__ = [
     "PotentialFunctional",
@@ -51,6 +52,7 @@ __all__ = [
     "field_independent_part",
     "remainder_bound",
     "flow_constant",
+    "require_flow",
 ]
 
 MAX_TENSOR_ENTRIES = 50_000_000
@@ -58,7 +60,14 @@ MAX_TENSOR_ENTRIES = 50_000_000
 
 def _check_entries(n: int, rank: int):
     if n ** rank > MAX_TENSOR_ENTRIES:
-        raise ValueError(f"{n}^{rank} entries exceed MAX_TENSOR_ENTRIES = {MAX_TENSOR_ENTRIES}")
+        raise InfeasibleSizeError(f"{n}^{rank} entries exceed MAX_TENSOR_ENTRIES = "
+                                  f"{MAX_TENSOR_ENTRIES}")
+
+
+def require_flow(spec: LatticeSpec, j: int):
+    """Refuse an order-j flow before it starts: j over MAX_ORDER or j-vertex blocks too big."""
+    _check_order(j)
+    _check_entries(spec.n_sites, max(j, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,8 +259,7 @@ def truncated_integrate(V: PotentialFunctional, j: int) -> PotentialFunctional:
     block has order >= 1.  A source block has order 0, so with a source the
     terms of order <= j from more than j copies are left out.
     """
-    if j > 3:
-        raise ValueError("recursion order capped at 3")
+    _check_order(j)
     h = V.h
     if h < 1:
         raise ValueError("no layer left to integrate")
@@ -284,6 +292,7 @@ def flow_constant(spec: LatticeSpec, lam: float, f, j: int,
     With a source f it is not the order-j series: each step stops at j
     copies (see ``truncated_integrate``): at j = 1 the order-0 constant is
     0 where the series has 1/2 a^(2d) f.C.f / volume."""
+    require_flow(spec, j)
     if cts is None:
         cts = counterterms(spec, lam, nu_order=j)
     V = bare_potential(spec, f=f, cts=cts, lam=lam, jmax=j)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice_propagator import (
+    InfeasibleSizeError,
     LatticeSpec,
     PropagatorKernel,
     covariance_cumulative,
@@ -55,6 +56,12 @@ __all__ = [
 HALF_LINES = {"coupling": 4, "mass": 2, "vacuum": 0, "external": 1}
 
 MAX_INTERNAL_VERTICES = 4
+MAX_ORDER = 3  # of the series, the counterterms and the recursion
+
+
+def _check_order(j: int):
+    if j > MAX_ORDER:
+        raise InfeasibleSizeError(f"order {j} exceeds MAX_ORDER = {MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -295,8 +302,8 @@ def integrated_value(G: FeynmanGraph, kernel: PropagatorKernel, f,
         return nu * spec.n_sites * spec.a ** spec.d
     internal = G.n + G.p
     if internal > MAX_INTERNAL_VERTICES:
-        raise ValueError(f"refusing {internal} internal vertices "
-                         f"(at most {MAX_INTERNAL_VERTICES})")
+        raise InfeasibleSizeError(f"refusing {internal} internal vertices "
+                                  f"(at most {MAX_INTERNAL_VERTICES})")
     f_arr = spec.source(f)
     n, p, r = G.n, G.p, G.r
     pref = (-1.0) ** (n + p + r) * lam ** n * mu ** p
@@ -410,12 +417,13 @@ def counterterms(spec: LatticeSpec, lam: float, nu_order: int | None = None,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    if nu_order is None:
+        nu_order = 3 if spec.d == 3 else 2
+    _check_order(nu_order)
     kernel = covariance_cumulative(spec, spec.N) if kernel is None else kernel
     mp = mu_polynomial(spec, kernel)
     mu = float(np.polyval(mp[::-1], lam))
     delta_mu = float(mp[2] * lam ** 2)
-    if nu_order is None:
-        nu_order = 3 if spec.d == 3 else 2
     if nu_order == 0:
         npoly = np.zeros(1)
     else:
@@ -517,8 +525,7 @@ def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
     difference propagator) may be supplied; the counterterms always refer to
     the full cutoff-N propagator of the spec.
     """
-    if j > 3:
-        raise ValueError("series order capped at 3")
+    _check_order(j)
     kernel = covariance_cumulative(spec, spec.N) if kernel is None else kernel
     if cts is None:
         cts = counterterms(spec, lam, nu_order=j if j > 0 else 0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice_propagator import LatticeSpec, _wrapped_windows, scale_range_kernel
+from .lattice_propagator import InfeasibleSizeError, LatticeSpec, _wrapped_windows, scale_range_kernel
 
 __all__ = [
     "FieldLayer",
@@ -360,7 +360,7 @@ def classify_regions(fld: MultiscaleField, h: int, B: float,
     D1 collects sites where |X^(h)| > B h^4; D2 (d=3 only) pairs closer than
     1/m where |Y^(h)| > B h^4; R the Q_h cubes where the layer norm exceeds
     B h^2.  chi_B is 1 exactly when R is empty.  A D2 beyond MAX_D2_PAIRS
-    pairs raises ValueError before the list grows past it.
+    pairs raises InfeasibleSizeError before the list grows past it.
     """
     spec = fld.spec
     if not 1 <= h <= spec.N:
@@ -375,7 +375,7 @@ def classify_regions(fld: MultiscaleField, h: int, B: float,
         for disps, y in fld._pair_fields(h):
             hit = np.argwhere(np.abs(y, out=y) > B * h ** 4)
             if len(d2) + len(hit) > MAX_D2_PAIRS:
-                raise ValueError(f"D2 would pass MAX_D2_PAIRS = {MAX_D2_PAIRS} pairs; raise B")
+                raise InfeasibleSizeError(f"D2 would pass MAX_D2_PAIRS = {MAX_D2_PAIRS}; raise B")
             eta = hit[:, 1:]
             etap = (eta + disps[hit[:, 0]]) % spec.n_side
             d2.extend(zip(map(tuple, eta.tolist()), map(tuple, etap.tolist())))

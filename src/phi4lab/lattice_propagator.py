@@ -44,7 +44,14 @@ __all__ = [
     "covariance_band",
     "difference_kernel",
     "bound_report",
+    "InfeasibleSizeError",
 ]
+
+MAX_MATRIX_SITES = 2 ** 14  # the largest dense matrix(): 2 GiB of float64
+
+
+class InfeasibleSizeError(ValueError):
+    """Raised by every size or order guard before the large allocation."""
 
 
 @dataclass(frozen=True)
@@ -190,6 +197,9 @@ class PropagatorKernel:
         Row x is the flipped table shifted by n - 1 - x, a window of its
         wrap-padded view; the one copy is the matrix itself.
         """
+        if self.spec.n_sites > MAX_MATRIX_SITES:
+            raise InfeasibleSizeError(f"a dense {self.spec.n_sites}-site covariance matrix "
+                                      f"exceeds MAX_MATRIX_SITES = {MAX_MATRIX_SITES}")
         d, n = self.spec.d, self.spec.n_side
         windows = _wrapped_windows(self.values[(slice(None, None, -1),) * d], d)
         rows = windows[(slice(n - 1, None, -1),) * d]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lattice_propagator import LatticeSpec, covariance_cumulative
+from .lattice_propagator import InfeasibleSizeError, LatticeSpec, covariance_cumulative
 from .feynman_graphs import Counterterms, counterterms, logZ_series
 from .effective_potential import remainder_bound
 from .field_sampler import field_threshold
@@ -44,19 +44,14 @@ LAM_CAL = 0.1
 SAFETY = 2.0
 
 
-class InfeasibleSizeError(ValueError):
-    """Raised when a request exceeds the exact-quadrature size guard."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One stability experiment: lattice, coupling, source, order and method."""
+    """One stability experiment: lattice, coupling, source and order."""
 
     spec: LatticeSpec
     lam: float
     f: tuple = None
     j: int = 1
-    method: str = "exact-quadrature"
     seed: int = 0
     n_samples: int = 100_000
     gh_nodes: int = 32
@@ -66,13 +61,15 @@ class ExperimentConfig:
         if not 0 <= self.lam < 1:
             raise ValueError("lambda must lie in [0,1)")
         self.spec.source(self.f)
-        if self.method not in ("exact-quadrature", "MC"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.gh_nodes < 1:
             raise ValueError("gh_nodes must be at least 1")
         if self.n_samples < 2:
             # the MC error bar is a sample covariance, undefined for one sample
             raise ValueError("n_samples must be at least 2")
+
+    @property
+    def method(self) -> str:
+        return "exact-quadrature" if quadrature_feasible(self.spec, self.gh_nodes) else "MC"
 
     @property
     def f_array(self) -> np.ndarray:
@@ -208,14 +205,27 @@ def series_prediction(cfg: ExperimentConfig, cts: Counterterms | None = None) ->
     return with_f.total(cfg.lam) - without.total(cfg.lam)
 
 
+def _calibration_spec(spec: LatticeSpec) -> LatticeSpec:
+    """The coarsest lattice of spec's box (d, L, m, gamma) whose side divides spec's."""
+    for N in range(1, spec.N + 1):
+        try:
+            sp = replace(spec, N=N)
+        except ValueError:
+            continue
+        if spec.n_side % sp.n_side == 0:
+            return sp
+
+
 def calibrate_Cj(cfg: ExperimentConfig) -> float:
-    """Fit the remainder constant C_j at the calibration coupling LAM_CAL.
+    """Fit the remainder constant C_j at LAM_CAL on the coarsest lattice of the box.
 
     The observed |quadrature - series| discrepancy at LAM_CAL fixes C_j so the
     envelope with that constant covers the discrepancy SAFETY times over;
     the lambda^(j+1) scaling of both sides then keeps smaller couplings inside.
     """
-    cal = replace(cfg, lam=LAM_CAL, method="exact-quadrature")
+    sp = _calibration_spec(cfg.spec)
+    cal = replace(cfg, spec=sp, lam=LAM_CAL,
+                  f=None if cfg.f is None else _refine_source(cfg.f, cfg.spec, sp))
     cts = counterterms(cal.spec, LAM_CAL, nu_order=cal.j)
     quad = _quadrature_log_ratio(cal, cts)[1.0] / (cal.spec.n_sites * cal.spec.a ** cal.spec.d)
     series = series_prediction(cal, cts)
@@ -273,14 +283,14 @@ def _refine_source(f, old_spec: LatticeSpec, new_spec: LatticeSpec) -> tuple:
     if new_spec.n_side >= old_spec.n_side:
         ratio = new_spec.n_side / old_spec.n_side
         if abs(ratio - round(ratio)) > 1e-9:
-            raise InfeasibleSizeError("grid refinement ratio must be an integer")
+            raise ValueError("grid refinement ratio must be an integer")
         k = int(round(ratio))
         for axis in range(old_spec.d):
             arr = np.repeat(arr, k, axis=axis)
     else:
         ratio = old_spec.n_side / new_spec.n_side
         if abs(ratio - round(ratio)) > 1e-9:
-            raise InfeasibleSizeError("grid coarsening ratio must be an integer")
+            raise ValueError("grid coarsening ratio must be an integer")
         k = int(round(ratio))
         for axis in range(old_spec.d):
             shape = arr.shape[:axis] + (arr.shape[axis] // k, k) + arr.shape[axis + 1:]
@@ -296,17 +306,11 @@ def stability_envelope(cfg: ExperimentConfig, N_range) -> dict:
     """
     spec = cfg.spec
     reports = {}
-    C_j = None
+    C_j = calibrate_Cj(cfg) if cfg.lam > 0 else None
     for N in N_range:
-        try:
-            sp = LatticeSpec(d=spec.d, L=spec.L, m=spec.m, gamma=spec.gamma, N=int(N))
-        except ValueError as exc:
-            raise InfeasibleSizeError(str(exc))
-        method = "exact-quadrature" if quadrature_feasible(sp, cfg.gh_nodes) else "MC"
-        sub = replace(cfg, spec=sp, method=method,
+        sp = replace(spec, N=int(N))
+        sub = replace(cfg, spec=sp,
                       f=None if cfg.f is None else _refine_source(cfg.f, spec, sp))
-        if C_j is None and method == "exact-quadrature" and cfg.lam > 0:
-            C_j = calibrate_Cj(sub)
         reports[int(N)] = estimate_Z(sub, C_j=C_j)
     values = [r.value for r in reports.values()]
     spread = max(values) - min(values) if values else 0.0

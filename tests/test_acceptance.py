@@ -240,8 +240,7 @@ def test_criterion_08_stability_envelope():
     gaps = []
     all_inside = True
     for lam in lams:
-        cfg = ExperimentConfig(spec=REF, lam=lam, f=REF_F, j=1,
-                               method="exact-quadrature", seed=1)
+        cfg = ExperimentConfig(spec=REF, lam=lam, f=REF_F, j=1, seed=1)
         rep = estimate_Z(cfg, C_j=calibrate_Cj(cfg))
         gaps.append(abs(rep.value - rep.series_value))
         all_inside = all_inside and rep.inside
@@ -252,8 +251,7 @@ def test_criterion_08_stability_envelope():
 
 
 def test_criterion_09_non_gaussianity():
-    cfg = ExperimentConfig(spec=REF, lam=0.02, f=REF_F, j=1,
-                           method="exact-quadrature")
+    cfg = ExperimentConfig(spec=REF, lam=0.02, f=REF_F, j=1)
     res = nongaussianity(cfg)
     ok = res["kappa4"] < 0 and res["relative_gap"] < 0.10
     report(9, ok,

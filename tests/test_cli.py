@@ -1,11 +1,17 @@
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import phi4lab
 from phi4lab import LatticeSpec, counterterms
 from phi4lab.cli import main
 
@@ -182,7 +188,8 @@ class TestSubcommands:
 
     def test_stability_oversized_grid_exits_3(self, runner, tmp_path):
         # 8 sites at 32 nodes is a 32^8-node grid: MC is chosen, and the C_j
-        # calibration it needs is refused by the node cap
+        # calibration on the coarsest lattice of the box, these same 8 sites,
+        # is refused by the node cap
         start = time.perf_counter()
         result = runner.invoke(main, ["stability", "--dim", "3", "--cutoff", "1",
                                       "--lambda", "0.05", "--out", str(tmp_path)])
@@ -193,3 +200,42 @@ class TestSubcommands:
         result = run_ok(runner, ["stability", *REF_ARGS, "--lambda", "0",
                                  "--check", "--out", str(tmp_path)])
         assert "inside True" in result.output
+
+
+# (arguments, exit code): each guard refuses with 3 before its large
+# allocation, a configuration error exits 2, and the largest accepted
+# neighbours of the refused runs finish
+BOUNDARY = [
+    (["graphs", "--dim", "3", "--cutoff", "5"], 3),  # a 32768^2 matrix
+    (["rgflow", "--dim", "3", "--cutoff", "5", "--order", "1"], 3),
+    (["stability", "--dim", "3", "--cutoff", "5"], 3),
+    (["rgflow", "--dim", "3", "--cutoff", "5", "--order", "2"], 3),  # 32768^2 block entries
+    (["rgflow", "--dim", "3", "--cutoff", "3", "--order", "3"], 3),  # 512^3 block entries
+    (["graphs", "--order", "4"], 3),  # MAX_ORDER
+    (["rgflow", "--order", "4"], 3),
+    (["stability", "--dim", "3", "--cutoff", "1"], 3),  # a 32^8-node calibration grid
+    (["propagator", "--cutoff", "1"], 2),  # too few displacement classes to fit
+    (["propagator", "--box", "0.7"], 2),
+    (["graphs", "--dim", "3", "--cutoff", "4"], 0),
+    (["rgflow", "--dim", "3", "--cutoff", "3", "--order", "2"], 0),
+    (["rgflow", "--dim", "3", "--cutoff", "4", "--order", "1"], 0),
+    (["stability"], 0),  # MC on 16 sites, C_j calibrated on 4
+]
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("args, code", BOUNDARY, ids=[" ".join(a) for a, _ in BOUNDARY])
+def test_exit_code_under_a_1_gib_address_space(args, code, tmp_path):
+    # a fresh process with its address space capped at 1 GiB: an allocation
+    # that a guard missed fails there instead of paging the machine
+    src = str(Path(phi4lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "phi4lab.cli", *args, "--out", str(tmp_path)],
+                          preexec_fn=_cap_address_space, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "Traceback" not in proc.stderr

@@ -20,6 +20,7 @@ from phi4lab import (
     flow_constant,
 )
 from phi4lab.feynman_graphs import _components
+from phi4lab.lattice_propagator import InfeasibleSizeError
 from phi4lab.effective_potential import (
     PotentialFunctional,
     _joined_patterns,
@@ -112,9 +113,9 @@ class TestFunctionalAlgebra:
         V = PotentialFunctional(REF, 2)
         V.add(1, (4,), np.ones(4))
         V.add(1, (2, 2), np.ones((4, 4)))
-        with pytest.raises(ValueError, match="MAX_TENSOR_ENTRIES"):
+        with pytest.raises(InfeasibleSizeError, match="MAX_TENSOR_ENTRIES"):
             truncated_integrate(V, 2)  # the 4^4-entry (2, 2, 2, 2) product
-        with pytest.raises(ValueError, match="MAX_TENSOR_ENTRIES"):
+        with pytest.raises(InfeasibleSizeError, match="MAX_TENSOR_ENTRIES"):
             V.terms[(1, 4)]  # the 4^4-entry dense view
         assert V.kernel_norms() == {(1, 4): 1.0}
 
@@ -529,8 +530,10 @@ class TestMartingale:
 
     def test_order_cap(self):
         V = wick_quartic_potential(REF, 2, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InfeasibleSizeError, match="MAX_ORDER"):
             truncated_integrate(V, 4)
+        with pytest.raises(InfeasibleSizeError, match="MAX_ORDER"):
+            flow_constant(REF, 0.1, None, 4)
 
 
 def assert_three_way_agreement(spec, j):

@@ -15,6 +15,7 @@ from phi4lab import (
     logZ_series,
     renormalized_chain_value,
 )
+from phi4lab import feynman_graphs
 from phi4lab.feynman_graphs import (
     FeynmanGraph,
     _canonical_lines,
@@ -29,6 +30,7 @@ from phi4lab.feynman_graphs import (
     mu_polynomial,
     vacuum_density_poly,
 )
+from phi4lab.lattice_propagator import InfeasibleSizeError
 
 
 SPEC = LatticeSpec(d=2, L=1.0, m=1.0, gamma=math.sqrt(2), N=2)
@@ -160,6 +162,17 @@ class TestCounterterms:
         cts = counterterms(SPEC, 0.1)
         coeffs = logZ_series(SPEC, 0.1, None, 2, cts=cts).coefficients
         assert np.max(np.abs(coeffs)) < 1e-12
+
+    def test_order_cap_refuses_before_enumeration(self, monkeypatch):
+        def enumerate_nothing(*args):
+            raise AssertionError("enumeration started")
+        spec = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=1)
+        monkeypatch.setattr(feynman_graphs, "mu_polynomial", enumerate_nothing)
+        monkeypatch.setattr(feynman_graphs, "vacuum_density_poly", enumerate_nothing)
+        with pytest.raises(InfeasibleSizeError, match="MAX_ORDER"):
+            counterterms(spec, 0.1, nu_order=4)
+        with pytest.raises(InfeasibleSizeError, match="MAX_ORDER"):
+            logZ_series(spec, 0.1, None, 4)
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError):

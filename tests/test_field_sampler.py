@@ -22,7 +22,7 @@ from phi4lab.field_sampler import (
     pavement_cubes,
     tail_stats,
 )
-from phi4lab.lattice_propagator import _range_weights
+from phi4lab.lattice_propagator import InfeasibleSizeError, _range_weights
 
 
 SPEC = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)
@@ -346,7 +346,7 @@ class TestRegions:
         monkeypatch.setattr(field_sampler, "MAX_D2_PAIRS", n_pairs)
         assert len(classify_regions(fld, 2, 0.02).D2) == n_pairs
         monkeypatch.setattr(field_sampler, "MAX_D2_PAIRS", n_pairs - 1)
-        with pytest.raises(ValueError, match="MAX_D2_PAIRS"):
+        with pytest.raises(InfeasibleSizeError, match="MAX_D2_PAIRS"):
             classify_regions(fld, 2, 0.02)
 
 

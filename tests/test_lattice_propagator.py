@@ -15,6 +15,7 @@ from phi4lab import (
     bound_report,
 )
 from phi4lab.lattice_propagator import (
+    InfeasibleSizeError,
     PropagatorKernel,
     _range_weights,
     _wrapped_windows,
@@ -160,6 +161,14 @@ class TestKernelStructure:
         assert np.array_equal(windows, np.moveaxis(view, lattice, tuple(range(d))))
         for s in np.ndindex(windows.shape[:d]):
             assert np.array_equal(windows[s], np.roll(a, [-c for c in s], axis=lattice))
+
+    def test_matrix_over_the_site_cap_is_refused(self, monkeypatch):
+        kernel = covariance_cumulative(spec2(), 2)  # 16 sites
+        monkeypatch.setattr("phi4lab.lattice_propagator.MAX_MATRIX_SITES", 16)
+        assert kernel.matrix().shape == (16, 16)
+        monkeypatch.setattr("phi4lab.lattice_propagator.MAX_MATRIX_SITES", 15)
+        with pytest.raises(InfeasibleSizeError, match="MAX_MATRIX_SITES"):
+            kernel.matrix()
 
     def test_kernel_is_real(self):
         s = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)

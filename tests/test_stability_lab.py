@@ -17,6 +17,7 @@ from phi4lab.stability_lab import (
     InfeasibleSizeError,
     QUADRATURE_NODE_CAP,
     _gauss_hermite,
+    _mc_log_ratio,
     _mode_basis,
     _node_grid,
     _quadrature_log_ratio,
@@ -49,24 +50,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(spec=REF, lam=0.1, f=(0.1, 0.2, 0.3))
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(spec=REF, lam=0.1, method="tea-leaves")
-        with pytest.raises(ValueError):
-            ExperimentConfig(spec=REF, lam=0.1, method="quasi-MC")
-
     def test_rejects_empty_quadrature_rule(self):
         with pytest.raises(ValueError, match="gh_nodes"):
             ExperimentConfig(spec=REF, lam=0.1, gh_nodes=0)
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError, match="n_samples"):
-            ExperimentConfig(spec=REF, lam=0.1, method="MC", n_samples=0)
+            ExperimentConfig(spec=REF, lam=0.1, n_samples=0)
 
     def test_rejects_single_sample(self):
         # one sample has no covariance, so the MC error bar would be nan
         with pytest.raises(ValueError, match="n_samples"):
-            ExperimentConfig(spec=REF, lam=0.05, f=F, method="MC", n_samples=1)
+            ExperimentConfig(spec=REF, lam=0.05, f=F, n_samples=1)
 
     def test_threshold_grows_for_small_coupling(self):
         a = ExperimentConfig(spec=REF, lam=0.001).B
@@ -76,7 +71,7 @@ class TestConfig:
 
 class TestGaussianControl:
     def test_lam_zero_matches_quadratic_form(self):
-        cfg = ExperimentConfig(spec=REF, lam=0.0, f=F, method="exact-quadrature")
+        cfg = ExperimentConfig(spec=REF, lam=0.0, f=F)
         rep = estimate_Z(cfg)
         fa = np.asarray(F)
         M = covariance_cumulative(REF, REF.N).matrix()
@@ -87,51 +82,51 @@ class TestGaussianControl:
         assert rep.inside
 
     def test_no_source_gives_zero(self):
-        cfg = ExperimentConfig(spec=REF, lam=0.05, f=None, method="exact-quadrature")
+        cfg = ExperimentConfig(spec=REF, lam=0.05, f=None)
         rep = estimate_Z(cfg)
         assert abs(rep.value) < 1e-12
 
     def test_lam_zero_fourth_cumulant_vanishes(self):
-        cfg = ExperimentConfig(spec=REF, lam=0.0, f=F, method="exact-quadrature")
+        cfg = ExperimentConfig(spec=REF, lam=0.0, f=F)
         assert abs(nongaussianity(cfg)["kappa4"]) < 1e-10
 
 
 class TestEstimators:
     def test_quadrature_inside_envelope(self):
-        cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=2, method="exact-quadrature")
+        cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=2)
         rep = estimate_Z(cfg, C_j=calibrate_Cj(cfg))
         assert rep.error == 0.0
         assert rep.envelope > 0
         assert rep.inside
 
     def test_mc_agrees_with_quadrature(self):
-        cq = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1, method="exact-quadrature")
-        cm = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1, method="MC",
-                              seed=3, n_samples=200_000)
-        rq, rm = estimate_Z(cq, C_j=1.0), estimate_Z(cm, C_j=1.0)
-        assert rm.error > 0
-        assert abs(rm.value - rq.value) < 3 * rm.error
+        # REF takes quadrature; its MC estimator is called directly
+        cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1, seed=3, n_samples=200_000)
+        cts = counterterms(REF, cfg.lam, nu_order=cfg.j)
+        raw, err = _mc_log_ratio(cfg, cts)[1.0]
+        assert err > 0
+        assert abs(raw - _quadrature_log_ratio(cfg, cts)[1.0]) < 3 * err
 
     def test_mc_is_seed_deterministic(self):
-        cm = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1, method="MC",
-                              seed=11, n_samples=20_000)
-        assert estimate_Z(cm, C_j=1.0).value == estimate_Z(cm, C_j=1.0).value
+        cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1, seed=11, n_samples=20_000)
+        cts = counterterms(REF, cfg.lam, nu_order=cfg.j)
+        assert _mc_log_ratio(cfg, cts) == _mc_log_ratio(cfg, cts)
 
-    def test_quadrature_cap_enforced(self):
+    def test_method_follows_the_node_cap(self):
         big = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)
-        cfg = ExperimentConfig(spec=big, lam=0.05, method="exact-quadrature")
-        with pytest.raises(InfeasibleSizeError):
-            estimate_Z(cfg)
+        assert ExperimentConfig(spec=REF, lam=0.05).method == "exact-quadrature"
+        assert ExperimentConfig(spec=big, lam=0.05).method == "MC"
+        assert ExperimentConfig(spec=CUBE, lam=0.05, gh_nodes=4).method == "exact-quadrature"
 
     def test_node_cap_refuses_eight_sites_at_default_nodes(self):
-        cfg = ExperimentConfig(spec=CUBE, lam=0.05, f=F8, method="exact-quadrature")
+        # MC on the run, but its C_j calibration needs the 32^8-node grid
+        cfg = ExperimentConfig(spec=CUBE, lam=0.05, f=F8)
         assert cfg.gh_nodes ** CUBE.n_sites > QUADRATURE_NODE_CAP
         with pytest.raises(InfeasibleSizeError):
             estimate_Z(cfg)
 
     def test_eight_site_gaussian_control_under_the_cap(self):
-        cfg = ExperimentConfig(spec=CUBE, lam=0.0, f=F8, method="exact-quadrature",
-                               gh_nodes=4)
+        cfg = ExperimentConfig(spec=CUBE, lam=0.0, f=F8, gh_nodes=4)
         rep = estimate_Z(cfg)
         fa = np.asarray(F8)
         M = covariance_cumulative(CUBE, CUBE.N).matrix()
@@ -243,6 +238,15 @@ class TestEnvelopeSweep:
         assert sweep["reports"][2].extras["method"] == "MC"
         assert sweep["inside"]
 
+    def test_calibration_runs_on_the_coarsest_lattice(self):
+        coarse = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=1)
+        fine = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)
+        f = (0.3, -0.2, 0.1, 0.25)
+        cfg = ExperimentConfig(spec=fine, lam=0.05, f=_refine_source(f, coarse, fine), j=1)
+        assert cfg.method == "MC"
+        want = calibrate_Cj(ExperimentConfig(spec=coarse, lam=0.05, f=f, j=1))
+        assert calibrate_Cj(cfg).hex() == want.hex()
+
     def test_refine_source_preserves_means_and_roundtrips(self):
         coarse = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=1)
         fine = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)
@@ -255,7 +259,7 @@ class TestEnvelopeSweep:
 
 class TestNonGaussianity:
     def test_negative_and_near_order_lambda_prediction(self):
-        cfg = ExperimentConfig(spec=REF, lam=0.02, f=F, j=1, method="exact-quadrature")
+        cfg = ExperimentConfig(spec=REF, lam=0.02, f=F, j=1)
         res = nongaussianity(cfg)
         assert res["kappa4"] < 0
         assert res["relative_gap"] < 0.10
@@ -263,7 +267,7 @@ class TestNonGaussianity:
     def test_contamination_shrinks_with_coupling(self):
         gaps = []
         for lam in (0.02, 0.005):
-            cfg = ExperimentConfig(spec=REF, lam=lam, f=F, method="exact-quadrature")
+            cfg = ExperimentConfig(spec=REF, lam=lam, f=F)
             gaps.append(nongaussianity(cfg)["relative_gap"])
         assert gaps[1] < gaps[0]
 
