@@ -221,8 +221,7 @@ def graphs(dim, gamma, mass, box, cutoff, lam, order, out, fmt, check):
     click.echo(f"log Z density coefficients: {series.coefficients.tolist()}")
     if check:
         kernel = covariance_cumulative(spec, spec.N)
-        M = kernel.matrix()
-        direct = wick_oracle([0, 0, 0, 0], M)
+        direct = wick_oracle([0, 0, 0, 0], kernel)
         if abs(direct - 3 * kernel.at_zero ** 2) > 1e-10 * abs(direct):
             _fail_check("Isserlis oracle disagrees with 3 C(0)^2")
         if np.max(np.abs(series.coefficients)) > 1e-8:

@@ -39,7 +39,7 @@ from .lattice_propagator import (
     covariance_cumulative,
     difference_kernel,
 )
-from .feynman_graphs import Counterterms, _check_order, _components, counterterms, logZ_series
+from .feynman_graphs import Counterterms, _check_order, _merges, counterterms, logZ_series
 
 __all__ = [
     "PotentialFunctional",
@@ -99,7 +99,8 @@ def _joined_patterns(copy_legs: tuple) -> tuple:
     out = []
     for ks, left in line_counts(0, legs):
         lines = tuple((p, k) for p, k in zip(pairs, ks) if k)
-        if len(_components(len(copy_legs), [(owner[a], owner[b]) for (a, b), _ in lines])) > 1:
+        joins = [(owner[a], owner[b]) for (a, b), _ in lines]
+        if _merges(list(range(len(copy_legs))), joins) < len(copy_legs) - 1:
             continue
         for ts in itertools.product(*(range(x // 2 + 1) for x in left)):
             r = tuple(x - 2 * t for x, t in zip(left, ts))

@@ -5,7 +5,9 @@ contraction).  Quartic vertices carry 4 half-lines, quadratic (mass) vertices
 2, external-field vertices 1 and the trivial vacuum vertex none.  Symmetry
 factors are never hand-counted: topologies and their multiplicities are
 obtained by aggregating labeled matchings, which keeps every value directly
-comparable with a brute-force moment oracle.
+comparable with a brute-force moment oracle.  Matchings are generated from
+one explicit stack of choices, and a matching over k elements is connected
+when a union-find over its lines makes k - 1 merges.
 
 The interaction convention is
 
@@ -105,28 +107,28 @@ class FeynmanGraph:
 
     @property
     def connected(self) -> bool:
-        return len(_components(len(self.elements), self.lines())) == 1
+        k = len(self.elements)
+        return _merges(list(range(k)), self.lines()) == k - 1
 
 
-def _components(k, lines):
-    """Vertex sets of the connected components of a graph on range(k), by
-    union-find over its lines, in order of each component's least vertex."""
-    parent = list(range(k))
+def _root(parent, i):
+    """Root of vertex i in the union-find forest ``parent`` (parent[i] == i at a root)."""
+    while parent[i] != i:
+        i = parent[i]
+    return i
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
+def _merges(parent, lines):
+    """Join the two ends of every line in the forest ``parent`` and count the
+    joins that merged two trees: lines on range(k) connect it exactly when,
+    from k singletons, they make k - 1 merges."""
+    merged = 0
     for u, v in lines:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comps = {}
-    for i in range(k):
-        comps.setdefault(find(i), set()).add(i)
-    return list(comps.values())
+        u, v = _root(parent, u), _root(parent, v)
+        if u != v:
+            parent[u] = v
+            merged += 1
+    return merged
 
 
 def trivial_vacuum_graph() -> FeynmanGraph:
@@ -146,19 +148,44 @@ def _elements(n: int, p: int, r: int) -> tuple:
 
 
 def enumerate_matchings(half_lines):
-    """All perfect matchings of a list of distinct labeled half-lines."""
+    """All perfect matchings of a list of distinct labeled half-lines.
+
+    The least free half-line is paired with each later free one in turn, so
+    the matchings come in lexicographic order of partner positions.  One
+    pair list is extended and cut back along an explicit stack of choices.
+    """
     half_lines = list(half_lines)
-    if len(half_lines) % 2:
+    m = len(half_lines)
+    if m % 2:
         raise ValueError("odd number of half-lines cannot be matched")
-    if not half_lines:
+    if not m:
         yield ()
         return
-    first, rest = half_lines[0], half_lines[1:]
-    for i in range(len(rest)):
-        partner = rest[i]
-        remaining = rest[:i] + rest[i + 1:]
-        for sub in enumerate_matchings(remaining):
-            yield ((first, partner),) + sub
+    free = [True] * m
+    pairs, stack = [], []
+    first = partner = 0
+    free[0] = False
+    while True:
+        partner += 1
+        while partner < m and not free[partner]:
+            partner += 1
+        if partner == m:  # every partner of ``first`` tried: back up one pair
+            free[first] = True
+            if not stack:
+                return
+            pairs.pop()
+            first, partner = stack.pop()
+            free[partner] = True
+            continue
+        pairs.append((half_lines[first], half_lines[partner]))
+        if 2 * len(pairs) == m:
+            yield tuple(pairs)
+            pairs.pop()
+            continue
+        free[partner] = False
+        stack.append((first, partner))
+        first = partner = free.index(True)
+        free[first] = False
 
 
 def enumerate_connected(n: int, p: int, r: int):
@@ -181,10 +208,10 @@ def _connected_graphs(n: int, p: int, r: int):
         raise ValueError(f"odd half-line total {total} for (n,p,r)=({n},{p},{r})")
     elements = _elements(n, p, r)
     half_lines = [(v, s) for v, e in enumerate(elements) for s in range(e.half_lines)]
+    k = len(elements)
     for pairing in enumerate_matchings(half_lines):
-        g = FeynmanGraph(elements=elements, pairing=pairing)
-        if g.connected:
-            yield g
+        if _merges(list(range(k)), [(a[0], b[0]) for a, b in pairing]) == k - 1:
+            yield FeynmanGraph(elements=elements, pairing=pairing)
 
 
 def aggregate_topologies(graphs):
@@ -468,27 +495,37 @@ def wick_oracle(sites, cov) -> float:
     """Gaussian expectation of prod_i phi_{sites[i]} by exhaustive pairing.
 
     ``sites`` is a flat list of site indices (repetitions allowed), ``cov``
-    either a PropagatorKernel or a dense covariance matrix.  Odd degree gives
-    zero; the degree is capped at 12.
+    either a PropagatorKernel, read at the displacements between the sites
+    with no dense matrix built, or a dense covariance matrix.  The entries
+    between the distinct sites are taken once as floats.  The Isserlis
+    recursion pairs the first remaining site with each later one in turn and
+    is memoized on the tuple of remaining sites, which fixes its value, so
+    each distinct remainder is summed once, in the same order as without the
+    memo.  Odd degree gives zero; the degree is capped at 12.
     """
     sites = list(sites)
     if len(sites) > 12:
         raise ValueError("oracle degree capped at 12")
     if len(sites) % 2:
         return 0.0
-    M = cov.matrix() if isinstance(cov, PropagatorKernel) else np.asarray(cov)
+    distinct = np.array(sorted(set(sites)), dtype=int)
+    if isinstance(cov, PropagatorKernel):
+        x = np.unravel_index(distinct, cov.spec.shape)
+        C = cov.values[tuple((c[:, None] - c) % cov.spec.n_side for c in x)].tolist()
+    else:
+        C = np.asarray(cov)[np.ix_(distinct, distinct)].tolist()
+    memo = {(): 1.0}
 
     def rec(ix):
-        if not ix:
-            return 1.0
-        first, rest = ix[0], ix[1:]
-        total = 0.0
-        for i in range(len(rest)):
-            pair = M[sites[first], sites[rest[i]]]
-            total += pair * rec(rest[:i] + rest[i + 1:])
-        return total
+        if ix not in memo:
+            row, rest = C[ix[0]], ix[1:]
+            total = 0.0
+            for i in range(len(rest)):
+                total += row[rest[i]] * rec(rest[:i] + rest[i + 1:])
+            memo[ix] = total
+        return memo[ix]
 
-    return float(rec(list(range(len(sites)))))
+    return float(rec(tuple(np.searchsorted(distinct, sites).tolist())))
 
 
 def monomial_sites(monomials) -> list:

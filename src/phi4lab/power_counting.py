@@ -4,7 +4,8 @@ A scaled graph carries one scale label per line.  A cluster of scale h is a
 maximal set of vertices connected by lines of scale >= h, at least one of
 which has scale exactly h; single graph-element vertices are trivial clusters
 pinned at scale N+1 and the root carries the conventional scale k = 0.  The
-per-node statistics feed the power-counting exponent
+tree is built by one union-find sweep from the highest scale down, and the
+per-node statistics it sums feed the power-counting exponent
 
     rho_v = -d + (4 - d) n_v + r_v (d + 2)/2 + (d - 2)/2 n_e_v
 
@@ -15,9 +16,10 @@ renormalization improvement rho_bar = rho + 1/2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .feynman_graphs import FeynmanGraph, _components
+from .feynman_graphs import FeynmanGraph, _merges, _root
 
 __all__ = [
     "ScaledGraph",
@@ -83,63 +85,51 @@ class ClusterTree:
 
 
 def build_clusters(sg: ScaledGraph) -> ClusterTree:
-    """Build the unique cluster hierarchy of a connected scaled graph."""
+    """Build the unique cluster hierarchy of a connected scaled graph.
+
+    One union-find sweep over the distinct scales, highest first: the
+    scale-h lines are joined, and every tree they touch becomes a node at h
+    whose children are the top nodes of the trees merged into it, in order
+    of (size, -scale, least vertex).  A node sums its children's statistics;
+    the lines whose ends first meet in it are its inner ones and leave its
+    children's external lines.
+    """
     g = sg.graph
-    if not g.connected:
+    lines = g.lines()
+    ends = Counter(x for l in lines if l[0] != l[1] for x in l)
+    top = [ClusterNode(h=sg.N + 1, vertices=frozenset([v]), trivial=True, n_e=ends[v],
+                       n=int(e.kind == "coupling"), r=int(e.kind == "external"))
+           for v, e in enumerate(g.elements)]
+    parent = list(range(len(top)))
+    at_scale = {}
+    for l, h in zip(lines, sg.line_scales):
+        at_scale.setdefault(h, []).append(l)
+    merged, pending = 0, lines
+    for h in sorted(at_scale, reverse=True):
+        old = {_root(parent, v) for l in at_scale[h] for v in l}
+        merged += _merges(parent, at_scale[h])
+        kids = {}
+        for t in old:
+            kids.setdefault(_root(parent, t), []).append(top[t])
+        for t, cs in kids.items():
+            cs.sort(key=lambda c: (len(c.vertices), -c.h, min(c.vertices)))
+            top[t] = ClusterNode(h=h, vertices=frozenset().union(*(c.vertices for c in cs)),
+                                 children=cs, s=len(cs), n=sum(c.n for c in cs),
+                                 r=sum(c.r for c in cs), n_e=sum(c.n_e for c in cs))
+        left = []
+        for u, w in pending:
+            t = _root(parent, u)
+            if t == _root(parent, w) and not top[t].trivial:
+                top[t].n_inner += 2
+                top[t].n_e -= 2 * (u != w)
+            else:
+                left.append((u, w))
+        pending = left
+    if merged != len(top) - 1:
         raise ValueError("cluster trees require a connected graph")
-    k = len(g.elements)
-    lines = g.lines()
-    # components under lines of scale >= h, for each h present
-    nodes = []
-    for h in sorted(set(sg.line_scales)):
-        comp = _components(k, [l for l, s in zip(lines, sg.line_scales) if s >= h])
-        for members in comp:
-            if any(s == h and set(l) <= members
-                   for l, s in zip(lines, sg.line_scales)):
-                nodes.append(ClusterNode(h=h, vertices=frozenset(members)))
-    for v in range(k):
-        nodes.append(ClusterNode(h=sg.N + 1, vertices=frozenset([v]), trivial=True))
-    root = ClusterNode(h=0, vertices=frozenset(range(k)))
-    # nest by vertex-set inclusion, ties broken by scale
-    ordered = sorted(nodes, key=lambda nd: (len(nd.vertices), -nd.h))
-    pool = [root] + sorted(nodes, key=lambda nd: (-len(nd.vertices), nd.h))
-    for nd in ordered:
-        parent = None
-        for cand in pool:
-            if cand is nd:
-                continue
-            if nd.vertices <= cand.vertices and (len(cand.vertices) > len(nd.vertices)
-                                                 or cand.h < nd.h):
-                if parent is None or (len(cand.vertices), -cand.h) < (len(parent.vertices), -parent.h):
-                    parent = cand
-        (parent or root).children.append(nd)
-    tree = ClusterTree(root=root, N=sg.N)
-    _fill_stats(tree, sg)
-    return tree
-
-
-def _fill_stats(tree: ClusterTree, sg: ScaledGraph):
-    g = sg.graph
-    lines = g.lines()
-    kinds = [e.kind for e in g.elements]
-    for v in tree.root.walk():
-        v.s = len(v.children)
-        v.n = sum(1 for i in v.vertices if kinds[i] == "coupling")
-        v.r = sum(1 for i in v.vertices if kinds[i] == "external")
-        v.n_e = sum((u in v.vertices) != (w in v.vertices) for u, w in lines)
-    # a line is "inner" to the innermost nontrivial cluster containing both
-    # endpoints (trivial leaves and the root are not clusters of the graph)
-    candidates = [nd for nd in tree.root.walk()
-                  if nd is not tree.root and not nd.trivial]
-    for u, w in lines:
-        best = None
-        for nd in candidates:
-            if u in nd.vertices and w in nd.vertices:
-                if best is None or len(nd.vertices) < len(best.vertices) \
-                        or (len(nd.vertices) == len(best.vertices) and nd.h > best.h):
-                    best = nd
-        if best is not None:
-            best.n_inner += 2
+    first = top[_root(parent, 0)]
+    root = ClusterNode(h=0, vertices=first.vertices, children=[first], s=1, n=first.n, r=first.r)
+    return ClusterTree(root=root, N=sg.N)
 
 
 @dataclass

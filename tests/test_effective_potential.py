@@ -19,7 +19,6 @@ from phi4lab import (
     remainder_bound,
     flow_constant,
 )
-from phi4lab.feynman_graphs import _components
 from phi4lab.lattice_propagator import InfeasibleSizeError
 from phi4lab.effective_potential import (
     PotentialFunctional,
@@ -29,6 +28,7 @@ from phi4lab.effective_potential import (
 )
 
 import dense_potential as dense
+from graph_reference import components
 
 
 REF = LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)
@@ -453,7 +453,7 @@ def joined_patterns_oracle(copy_legs):
 
     def joined(factors):
         lines = [(owner[ab[0]], owner[ab[1]]) for ab, _ in factors if len(ab) == 2]
-        return len(_components(len(copy_legs), lines)) == 1
+        return len(components(len(copy_legs), lines)) == 1
     return tuple(p for p in line_patterns(sum(copy_legs, ())) if joined(p[0]))
 
 
