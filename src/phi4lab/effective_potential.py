@@ -17,7 +17,8 @@ k_ab lines between vertices a < b), each weighted by the number of pairings
 realizing it.  E^T of k copies is the sum over the line patterns whose lines
 join the k copies into one component: no disconnected pattern is formed, so
 no cumulant is built by subtraction.  k = 1 follows the same rule, one copy
-being always joined.  The pattern table picks line counts within each
+being always joined.  The pattern table (``feynman_graphs._joined_patterns``,
+which also counts the series topologies) picks line counts within each
 vertex's legs and keeps the joined patterns only.
 """
 
@@ -39,7 +40,8 @@ from .lattice_propagator import (
     covariance_cumulative,
     difference_kernel,
 )
-from .feynman_graphs import Counterterms, _check_order, _merges, counterterms, logZ_series
+from .feynman_graphs import (Counterterms, _check_order, _joined_patterns, counterterms,
+                             logZ_series)
 
 __all__ = [
     "PotentialFunctional",
@@ -68,46 +70,6 @@ def require_flow(spec: LatticeSpec, j: int):
     """Refuse an order-j flow before it starts: j over MAX_ORDER or j-vertex blocks too big."""
     _check_order(j)
     _check_entries(spec.n_sites, max(j, 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _joined_patterns(copy_legs: tuple) -> tuple:
-    """Every (factors, r, w) pairing some legs of the vertices of the copies
-    in ``copy_legs`` (one tuple of free legs per copy) whose lines join the
-    copies into one component: factors lists ((a,), t_a) self-pairs and
-    ((a, b), k_ab) lines over the vertices in copy order, r the legs left free
-    per vertex, and w = prod_a legs[a]! / (2^t_a t_a! r_a!) / prod_(a<b) k_ab!
-    the number of partial pairings of the distinguishable legs that realize it.
-
-    Line counts are picked one vertex pair at a time, never more than the
-    legs both vertices have left, so the patterns come in the lexicographic
-    order of their line counts, then of their self-pairs."""
-    legs = sum(copy_legs, ())
-    owner = tuple(i for i, x in enumerate(copy_legs) for _ in x)
-    pairs = tuple(itertools.combinations(range(len(legs)), 2))
-
-    def line_counts(i: int, left):
-        if i == len(pairs):
-            yield (), left
-            return
-        a, b = pairs[i]
-        for k in range(min(left[a], left[b]) + 1):
-            rest = [x - k if v in (a, b) else x for v, x in enumerate(left)]
-            for ks, r in line_counts(i + 1, rest):
-                yield (k,) + ks, r
-
-    out = []
-    for ks, left in line_counts(0, legs):
-        lines = tuple((p, k) for p, k in zip(pairs, ks) if k)
-        joins = [(owner[a], owner[b]) for (a, b), _ in lines]
-        if _merges(list(range(len(copy_legs))), joins) < len(copy_legs) - 1:
-            continue
-        for ts in itertools.product(*(range(x // 2 + 1) for x in left)):
-            r = tuple(x - 2 * t for x, t in zip(left, ts))
-            den = math.prod(2 ** t * math.factorial(t) * math.factorial(x) for t, x in zip(ts, r))
-            w = math.prod(map(math.factorial, legs)) // (den * math.prod(map(math.factorial, ks)))
-            out.append((tuple(((a,), t) for a, t in enumerate(ts) if t) + lines, r, float(w)))
-    return tuple(out)
 
 
 def _along(arr: np.ndarray, axes: tuple, rank: int) -> np.ndarray:

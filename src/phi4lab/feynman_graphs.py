@@ -3,11 +3,13 @@
 The primitive object is a perfect matching of labeled half-lines (a Wick
 contraction).  Quartic vertices carry 4 half-lines, quadratic (mass) vertices
 2, external-field vertices 1 and the trivial vacuum vertex none.  Symmetry
-factors are never hand-counted: topologies and their multiplicities are
-obtained by aggregating labeled matchings, which keeps every value directly
-comparable with a brute-force moment oracle.  Matchings are generated from
-one explicit stack of choices, and a matching over k elements is connected
-when a union-find over its lines makes k - 1 merges.
+factors are never hand-counted: a topology's multiplicity is the number of
+labeled matchings realizing its line multisets, counted by the same
+line-pattern rule (``_joined_patterns``) the recursion integrates with, and
+checked against the labeled matchings themselves, which stay as the oracle
+and as the input of cluster trees.  Matchings are generated from one explicit
+stack of choices, and a matching over k elements is connected when a
+union-find over its lines makes k - 1 merges.
 
 The interaction convention is
 
@@ -131,6 +133,46 @@ def _merges(parent, lines):
     return merged
 
 
+@functools.lru_cache(maxsize=None)
+def _joined_patterns(copy_legs: tuple) -> tuple:
+    """Every (factors, r, w) pairing some legs of the vertices of the copies
+    in ``copy_legs`` (one tuple of free legs per copy) whose lines join the
+    copies into one component: factors lists ((a,), t_a) self-pairs and
+    ((a, b), k_ab) lines over the vertices in copy order, r the legs left free
+    per vertex, and w = prod_a legs[a]! / (2^t_a t_a! r_a!) / prod_(a<b) k_ab!
+    the number of partial pairings of the distinguishable legs that realize it.
+
+    Line counts are picked one vertex pair at a time, never more than the
+    legs both vertices have left, so the patterns come in the lexicographic
+    order of their line counts, then of their self-pairs."""
+    legs = sum(copy_legs, ())
+    owner = tuple(i for i, x in enumerate(copy_legs) for _ in x)
+    pairs = tuple(itertools.combinations(range(len(legs)), 2))
+
+    def line_counts(i: int, left):
+        if i == len(pairs):
+            yield (), left
+            return
+        a, b = pairs[i]
+        for k in range(min(left[a], left[b]) + 1):
+            rest = [x - k if v in (a, b) else x for v, x in enumerate(left)]
+            for ks, r in line_counts(i + 1, rest):
+                yield (k,) + ks, r
+
+    out = []
+    for ks, left in line_counts(0, legs):
+        lines = tuple((p, k) for p, k in zip(pairs, ks) if k)
+        joins = [(owner[a], owner[b]) for (a, b), _ in lines]
+        if _merges(list(range(len(copy_legs))), joins) < len(copy_legs) - 1:
+            continue
+        for ts in itertools.product(*(range(x // 2 + 1) for x in left)):
+            r = tuple(x - 2 * t for x, t in zip(left, ts))
+            den = math.prod(2 ** t * math.factorial(t) * math.factorial(x) for t, x in zip(ts, r))
+            w = math.prod(map(math.factorial, legs)) // (den * math.prod(map(math.factorial, ks)))
+            out.append((tuple(((a,), t) for a, t in enumerate(ts) if t) + lines, r, float(w)))
+    return tuple(out)
+
+
 def trivial_vacuum_graph() -> FeynmanGraph:
     """The single line-free graph: one vacuum element, empty pairing."""
     return FeynmanGraph(elements=(GraphElement("vacuum", 0),), pairing=())
@@ -188,30 +230,24 @@ def enumerate_matchings(half_lines):
         free[first] = False
 
 
-def enumerate_connected(n: int, p: int, r: int):
+def enumerate_connected(n: int, p: int, r: int) -> list:
     """All connected labeled matchings over n coupling, p mass, r external elements.
 
     For (n, p, r) = (0, 0, 0) the result is the single trivial vacuum graph.
     """
-    return list(_connected_graphs(n, p, r))
-
-
-def _connected_graphs(n: int, p: int, r: int):
-    """Generator form of enumerate_connected, for callers that only count."""
     if n < 0 or p < 0 or r < 0:
         raise ValueError("element counts must be nonnegative")
     if (n, p, r) == (0, 0, 0):
-        yield trivial_vacuum_graph()
-        return
+        return [trivial_vacuum_graph()]
     total = 4 * n + 2 * p + r
     if total % 2:
         raise ValueError(f"odd half-line total {total} for (n,p,r)=({n},{p},{r})")
     elements = _elements(n, p, r)
     half_lines = [(v, s) for v, e in enumerate(elements) for s in range(e.half_lines)]
     k = len(elements)
-    for pairing in enumerate_matchings(half_lines):
-        if _merges(list(range(k)), [(a[0], b[0]) for a, b in pairing]) == k - 1:
-            yield FeynmanGraph(elements=elements, pairing=pairing)
+    return [FeynmanGraph(elements=elements, pairing=pairing)
+            for pairing in enumerate_matchings(half_lines)
+            if _merges(list(range(k)), [(a[0], b[0]) for a, b in pairing]) == k - 1]
 
 
 def aggregate_topologies(graphs):
@@ -272,13 +308,26 @@ def _canonical_lines(lines, kinds):
 @functools.lru_cache(maxsize=None)
 def _topology_table(n: int, p: int, r: int) -> tuple:
     """(raw line multiset, element kinds, multiplicity) per topology of the
-    connected (n, p, r) family, in first-seen order.
+    connected (n, p, r) family.
 
+    The full pairings among the _joined_patterns of one vertex per copy, with
+    4, 2 and 1 legs, are the connected line multisets, each weighted by the
+    number of labeled matchings that realize it; they are bucketed by
+    _canonical_lines and their weights summed, so no matching is enumerated.
     It depends only on the three counts, never on a kernel or a source, so
     it is built once per process and shared by every series and counterterm.
     """
-    return tuple((raw, tuple(e.kind for e in g.elements), count)
-                 for g, raw, count in aggregate_topologies(_connected_graphs(n, p, r)))
+    kinds = tuple(e.kind for e in _elements(n, p, r))
+    buckets = {}
+    for factors, left, w in _joined_patterns(((4,),) * n + ((2,),) * p + ((1,),) * r):
+        if any(left):
+            continue
+        raw = tuple(sorted((axes[0], axes[-1]) for axes, k in factors for _ in range(k)))
+        sig = _canonical_lines(raw, kinds)
+        if sig not in buckets:
+            buckets[sig] = [raw, 0]
+        buckets[sig][1] += int(w)
+    return tuple((raw, kinds, count) for raw, count in buckets.values())
 
 
 @functools.lru_cache(maxsize=1024)

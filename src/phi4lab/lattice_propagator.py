@@ -127,7 +127,7 @@ class LatticeSpec:
         return arr
 
     def canonical_hash(self) -> str:
-        """Stable hash of the defining fields, used for caches and manifests."""
+        """Stable hash of the defining fields, recorded in run manifests."""
         payload = json.dumps(
             {"d": self.d, "L": self.L, "m": self.m, "gamma": self.gamma, "N": self.N},
             sort_keys=True,

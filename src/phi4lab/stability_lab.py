@@ -1,15 +1,13 @@
 """Desk-scale stability experiments on the interacting measure.
 
-Estimates log(Z(f)/Z(0)) either by exact Gauss-Hermite quadrature over the
-diagonalized covariance or by Monte Carlo with shared randomness between
-numerator and denominator.  Quadrature is the sampling-free ground truth on
-one dense tensor grid of gh_nodes ** n_sites nodes, feasible while that count
-is at most QUADRATURE_NODE_CAP = 32^4 and refused beyond it with
-InfeasibleSizeError (CLI exit 3) before any array is built.  The grid's
-weights and per-node sums of phi^2 and phi^4, which depend on neither lambda
-nor f, are built once per (spec, gh_nodes) and kept for the last four grids;
-a call adds lambda, the counterterms and the source term f . phi in O(nodes).
-Fields are laid out site-major, (sites, nodes or samples), on both paths.
+Estimates log(Z(f)/Z(0)) with one ratio estimator over one of two node sets:
+the Gauss-Hermite tensor grid over the diagonalized covariance, the
+sampling-free ground truth, while its gh_nodes ** n_sites nodes are at most
+QUADRATURE_NODE_CAP = 32^4, else Monte Carlo draws with uniform weights,
+shared by numerator and denominator.  The grid's weights and per-node sums
+of phi^2 and phi^4 depend on neither lambda nor f; they are built once per
+(spec, gh_nodes) and kept for the last four grids.  C_j calibration needs
+the grid and refuses one over the cap with InfeasibleSizeError (CLI exit 3).
 Compares the estimates with the truncated series inside a remainder envelope
 and measures the non-Gaussian fourth cumulant of the source-coupled field."""
 
@@ -64,7 +62,7 @@ class ExperimentConfig:
         if self.gh_nodes < 1:
             raise ValueError("gh_nodes must be at least 1")
         if self.n_samples < 2:
-            # the MC error bar is a sample covariance, undefined for one sample
+            # the MC error bar divides by n - 1, undefined for one sample
             raise ValueError("n_samples must be at least 2")
 
     @property
@@ -84,7 +82,11 @@ class ExperimentConfig:
 
 @dataclass
 class StabilityReport:
-    """Estimate, series value, envelope and verdict for one configuration."""
+    """Estimate, series value, envelope and verdict for one configuration.
+
+    ``inside`` is |value - series| <= envelope + error: it allows one MC
+    standard error, about 68 % two-sided for a normal estimate; on the
+    quadrature grid the error is 0 and the verdict is exact."""
 
     value: float
     error: float
@@ -97,17 +99,6 @@ class StabilityReport:
 def quadrature_feasible(spec: LatticeSpec, gh_nodes: int) -> bool:
     """True when the gh_nodes ** n_sites quadrature grid fits QUADRATURE_NODE_CAP."""
     return gh_nodes ** spec.n_sites <= QUADRATURE_NODE_CAP
-
-
-def _interaction_log_density(cfg: ExperimentConfig, cts: Counterterms, s4, s2, lin,
-                             t_values) -> dict:
-    """V_t = -a^d sum_x (lambda phi^4 + mu phi^2 + nu + t f phi) for each t, from
-    the per-node (or per-sample) sums s4 = sum_x phi_x^4, s2 = sum_x phi_x^2
-    and lin = sum_x f_x phi_x.  The t-independent part is computed once."""
-    spec = cfg.spec
-    w = spec.a ** spec.d
-    even = cfg.lam * s4 + cts.mu * s2 + cts.nu * spec.n_sites
-    return {t: -w * (even + t * lin) for t in t_values}
 
 
 def _gauss_hermite(nodes: int):
@@ -150,48 +141,47 @@ def _node_grid(spec: LatticeSpec, gh_nodes: int):
     return weights, s2, s4, x, A
 
 
-def _quadrature_log_ratio(cfg: ExperimentConfig, cts: Counterterms,
-                          t_values=(1.0,)) -> dict:
-    """log Z(t f) - log Z(0) for each t, on the dense Gauss-Hermite tensor grid.
-
-    Taken as a ratio, log1p(sum_i p_i expm1(-a^d t lin_i)) with p the
-    normalized t = 0 node weights, so a small log-ratio does not inherit the
-    rounding of log Z(0) as a difference of two log-sums would.
-    """
-    spec = cfg.spec
-    weights, s2, s4, x, A = _node_grid(spec, cfg.gh_nodes)
-    # f . phi = sum_k (A^T f)_k y_k, an outer sum over the modes
-    lin = functools.reduce(np.add.outer, [c * x for c in A.T @ cfg.f_array]).ravel()
-    logs0 = _interaction_log_density(cfg, cts, s4, s2, lin, [0.0])[0.0]
-    p = weights * np.exp(logs0 - logs0.max())
-    p /= p.sum()
-    w = spec.a ** spec.d
-    return {t: math.log1p(float(p @ np.expm1(-w * t * lin))) for t in t_values}
-
-
-def _mc_log_ratio(cfg: ExperimentConfig, cts: Counterterms, t_values=(1.0,)) -> dict:
-    """(log Z(t f) - log Z(0), error) for each t, all from one shared draw."""
-    spec = cfg.spec
+def _nodes(cfg: ExperimentConfig):
+    """(weights, s2, s4, lin) per node, the field points the log-ratio sums
+    over: the Gauss-Hermite grid of _node_grid while quadrature_feasible,
+    else cfg.n_samples draws phi = A y with uniform weights.  s2 = sum_x
+    phi_x^2, s4 = sum_x phi_x^4 and lin = sum_x f_x phi_x."""
+    if cfg.method == "exact-quadrature":
+        weights, s2, s4, x, A = _node_grid(cfg.spec, cfg.gh_nodes)
+        # f . phi = sum_k (A^T f)_k y_k, an outer sum over the modes
+        lin = functools.reduce(np.add.outer, [c * x for c in A.T @ cfg.f_array]).ravel()
+        return weights, s2, s4, lin
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
-    y = rng.standard_normal((cfg.n_samples, spec.n_sites))
-    phi = _mode_basis(spec) @ y.T  # site-major (sites, samples)
+    y = rng.standard_normal((cfg.n_samples, cfg.spec.n_sites))
+    phi = _mode_basis(cfg.spec) @ y.T  # site-major (sites, samples)
     lin = cfg.f_array @ phi
     s2 = np.square(phi, out=phi).sum(axis=0)
     s4 = np.square(phi, out=phi).sum(axis=0)  # per call: a square is far cheaper than pow
-    logs = _interaction_log_density(cfg, cts, s4, s2, lin, [*t_values, 0.0])
-    v0 = logs[0.0]
+    return np.full(cfg.n_samples, 1.0 / cfg.n_samples), s2, s4, lin
+
+
+def _log_ratios(cfg: ExperimentConfig, cts: Counterterms, t_values=(1.0,)) -> dict:
+    """(log Z(t f) - log Z(0), error) for each t, over the nodes of _nodes.
+
+    With p the node weights times exp(-a^d sum_x (lambda phi^4 + mu phi^2 +
+    nu)), normalized, and e = expm1(-a^d t lin), it is log1p(m), m = p . e:
+    a small log-ratio does not inherit the rounding of log Z(0), as a
+    difference of two log-sums would.  The error is the delta-method standard
+    error sqrt(n/(n-1) sum_i (p_i (e_i - m))^2) / (1 + m) on n draws, 0 on the grid.
+    """
+    spec = cfg.spec
+    weights, s2, s4, lin = _nodes(cfg)
+    w = spec.a ** spec.d
+    logs0 = -w * (cfg.lam * s4 + cts.mu * s2 + cts.nu * spec.n_sites)
+    p = weights * np.exp(logs0 - logs0.max())
+    p /= p.sum()
+    draws = len(p) if cfg.method == "MC" else 0
     out = {}
     for t in t_values:
-        v1 = logs[t]
-        shift = max(float(v1.max()), float(v0.max()))
-        e1, e0 = np.exp(v1 - shift), np.exp(v0 - shift)
-        ratio = float(np.mean(e1) / np.mean(e0))
-        # delta-method error bar for the shared-seed ratio estimator
-        cov = np.cov(e1, e0)
-        m1, m0 = float(np.mean(e1)), float(np.mean(e0))
-        var = (cov[0, 0] / m1 ** 2 - 2 * cov[0, 1] / (m1 * m0)
-               + cov[1, 1] / m0 ** 2) / cfg.n_samples
-        out[t] = (math.log(ratio), math.sqrt(max(var, 0.0)))
+        e = np.expm1(-w * t * lin)
+        m = float(p @ e)
+        var = draws / (draws - 1) * float(np.sum(np.square(p * (e - m)))) if draws else 0.0
+        out[t] = (math.log1p(m), math.sqrt(var) / (1 + m))
     return out
 
 
@@ -216,55 +206,55 @@ def _calibration_spec(spec: LatticeSpec) -> LatticeSpec:
             return sp
 
 
+def _envelope(cfg: ExperimentConfig, C_j: float) -> float:
+    """sum_h R(j, h) over the scales h = 1..N of cfg's lattice, with constant C_j."""
+    spec = cfg.spec
+    return sum(remainder_bound(cfg.j, h, cfg.lam, cfg.B, spec.d, C_j=C_j, gamma=spec.gamma).value
+               for h in range(1, spec.N + 1))
+
+
 def calibrate_Cj(cfg: ExperimentConfig) -> float:
     """Fit the remainder constant C_j at LAM_CAL on the coarsest lattice of the box.
 
     The observed |quadrature - series| discrepancy at LAM_CAL fixes C_j so the
     envelope with that constant covers the discrepancy SAFETY times over;
     the lambda^(j+1) scaling of both sides then keeps smaller couplings inside.
+    The fit needs the exact grid; over the cap it refuses, it never samples.
     """
     sp = _calibration_spec(cfg.spec)
     cal = replace(cfg, spec=sp, lam=LAM_CAL,
                   f=None if cfg.f is None else _refine_source(cfg.f, cfg.spec, sp))
-    cts = counterterms(cal.spec, LAM_CAL, nu_order=cal.j)
-    quad = _quadrature_log_ratio(cal, cts)[1.0] / (cal.spec.n_sites * cal.spec.a ** cal.spec.d)
-    series = series_prediction(cal, cts)
-    shape = sum(remainder_bound(cal.j, h, LAM_CAL, cal.B, cal.spec.d,
-                                C_j=1.0, gamma=cal.spec.gamma).value
-                for h in range(1, cal.spec.N + 1))
-    gap = abs(quad - series)
+    if cal.method == "MC":
+        raise InfeasibleSizeError(
+            f"C_j calibration needs exact quadrature: {cal.gh_nodes}^{sp.n_sites} "
+            f"nodes exceed the cap of {QUADRATURE_NODE_CAP}")
+    cts = counterterms(sp, LAM_CAL, nu_order=cal.j)
+    quad = _log_ratios(cal, cts)[1.0][0] / (sp.n_sites * sp.a ** sp.d)
+    gap = abs(quad - series_prediction(cal, cts))
+    shape = _envelope(cal, 1.0)
     if shape <= 0:
         return 1.0
     return SAFETY * gap / shape
 
 
-def estimate_Z(cfg: ExperimentConfig, cts: Counterterms | None = None,
-               C_j: float | None = None) -> StabilityReport:
+def estimate_Z(cfg: ExperimentConfig, C_j: float | None = None) -> StabilityReport:
     """Estimate (1/|Lambda|) log(Z(f)/Z(0)) and compare with the series.
 
-    The envelope is sum_h R(j,h) with the (fitted) constant C_j.
+    The envelope is sum_h R(j,h) with the (fitted) constant C_j.  The verdict
+    ``inside`` allows one MC standard error, as StabilityReport states.
     """
     spec = cfg.spec
-    if cts is None:
-        cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
+    cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
     vol = spec.n_sites * spec.a ** spec.d
-    if cfg.method == "exact-quadrature":
-        value = _quadrature_log_ratio(cfg, cts)[1.0] / vol
-        error = 0.0
-    else:
-        raw, err = _mc_log_ratio(cfg, cts)[1.0]
-        value, error = raw / vol, err / vol
+    raw, err = _log_ratios(cfg, cts)[1.0]
+    value, error = raw / vol, err / vol
     series = series_prediction(cfg, cts)
     if cfg.lam == 0.0:
-        C_j = 0.0
-        envelope = 0.0
+        C_j = envelope = 0.0
     else:
         if C_j is None:
             C_j = calibrate_Cj(cfg)
-        envelope = sum(
-            remainder_bound(cfg.j, h, cfg.lam, cfg.B, spec.d,
-                            C_j=C_j, gamma=spec.gamma).value
-            for h in range(1, spec.N + 1))
+        envelope = _envelope(cfg, C_j)
     # at lam = 0 the series is exact; allow rounding noise in the verdict
     inside = abs(value - series) <= envelope + error + 1e-12
     return StabilityReport(value=value, error=error, series_value=series,
@@ -326,8 +316,7 @@ def _smeared_source(spec: LatticeSpec, f: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(weights * np.fft.fftn(f.reshape(spec.shape))).real.ravel()
 
 
-def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5,
-                   cts: Counterterms | None = None) -> dict:
+def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5) -> dict:
     """Fourth cumulant of the source coupling via a 5-point stencil.
 
     Differentiates g(t) = log(Z(t f)/Z(0)) four times at t=0 and compares with
@@ -338,13 +327,9 @@ def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5,
     if delta > 0.5:
         raise ValueError("stencil step must keep |t f| <= 1")
     spec = cfg.spec
-    if cts is None:
-        cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
+    cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
     ts = [-2 * delta, -delta, delta, 2 * delta]
-    if cfg.method == "exact-quadrature":
-        g = _quadrature_log_ratio(cfg, cts, t_values=ts)
-    else:
-        g = {t: raw for t, (raw, _) in _mc_log_ratio(cfg, cts, ts).items()}
+    g = {t: raw for t, (raw, _) in _log_ratios(cfg, cts, ts).items()}
     kappa4 = (g[-2 * delta] - 4 * g[-delta] - 4 * g[delta] + g[2 * delta]) / delta ** 4
     conv = _smeared_source(spec, cfg.f_array)
     prediction = -math.factorial(4) * cfg.lam * spec.a ** spec.d * float(np.sum(conv ** 4))

@@ -22,10 +22,10 @@ from phi4lab import (
 from phi4lab.lattice_propagator import InfeasibleSizeError
 from phi4lab.effective_potential import (
     PotentialFunctional,
-    _joined_patterns,
     remainder_partial_sums,
     wick_quartic_potential,
 )
+from phi4lab.feynman_graphs import _joined_patterns
 
 import dense_potential as dense
 from graph_reference import components

@@ -314,10 +314,16 @@ class TestMemoSafety:
         assert self._numbers(kernel=diff) == cold
 
     def test_memo_multiplicities_count_connected_matchings(self):
-        for n, p, r in [(0, 0, 2), (1, 0, 0), (1, 1, 2), (2, 0, 4), (0, 3, 2)]:
-            table = _topology_table(n, p, r)
-            assert sum(count for _, _, count in table) \
-                == len(enumerate_connected(n, p, r))
+        # every series family (n + p <= 3, r <= 4) with at most 12 half-lines
+        families = [(n, p, r) for n in range(4) for p in range(4 - n) for r in (0, 2, 4)
+                    if n + p + r > 0 and 4 * n + 2 * p + r <= 12]
+        assert len(families) == 26
+        for n, p, r in families:
+            got = {_canonical_lines(raw, kinds): count
+                   for raw, kinds, count in _topology_table(n, p, r)}
+            want = {_canonical_lines(raw, tuple(e.kind for e in g.elements)): count
+                    for g, raw, count in aggregate_topologies(enumerate_connected(n, p, r))}
+            assert got == want, (n, p, r)
 
     def test_memo_table_is_immutable(self):
         def only_tuples(obj):

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from phi4lab.stability_lab import (
     InfeasibleSizeError,
     QUADRATURE_NODE_CAP,
     _gauss_hermite,
-    _mc_log_ratio,
+    _log_ratios,
     _mode_basis,
     _node_grid,
-    _quadrature_log_ratio,
+    _nodes,
     _refine_source,
     _smeared_source,
     calibrate_Cj,
@@ -100,17 +101,43 @@ class TestEstimators:
         assert rep.inside
 
     def test_mc_agrees_with_quadrature(self):
-        # REF takes quadrature; its MC estimator is called directly
+        # 33^4 nodes are over the cap, so REF draws samples at gh_nodes=33
         cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1, seed=3, n_samples=200_000)
+        mc = replace(cfg, gh_nodes=33)
+        assert (cfg.method, mc.method) == ("exact-quadrature", "MC")
         cts = counterterms(REF, cfg.lam, nu_order=cfg.j)
-        raw, err = _mc_log_ratio(cfg, cts)[1.0]
-        assert err > 0
-        assert abs(raw - _quadrature_log_ratio(cfg, cts)[1.0]) < 3 * err
+        raw, err = _log_ratios(mc, cts)[1.0]
+        quad, quad_err = _log_ratios(cfg, cts)[1.0]
+        assert err > 0 and quad_err == 0.0
+        assert abs(raw - quad) < 3 * err
 
     def test_mc_is_seed_deterministic(self):
-        cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1, seed=11, n_samples=20_000)
+        cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1, seed=11, n_samples=20_000,
+                               gh_nodes=33)
         cts = counterterms(REF, cfg.lam, nu_order=cfg.j)
-        assert _mc_log_ratio(cfg, cts) == _mc_log_ratio(cfg, cts)
+        assert _log_ratios(cfg, cts) == _log_ratios(cfg, cts)
+
+    @pytest.mark.parametrize("spec", [LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2),
+                                      LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)])
+    def test_mc_matches_ratio_of_means(self, spec):
+        # reference: log of a ratio of sample means with the np.cov delta-method
+        # error bar, over the same draws
+        f = tuple(np.random.default_rng(3).uniform(-0.5, 0.5, spec.n_sites))
+        cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, seed=7, n_samples=20_000)
+        assert cfg.method == "MC"
+        cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
+        _, s2, s4, lin = _nodes(cfg)
+        w = spec.a ** spec.d
+        even = cfg.lam * s4 + cts.mu * s2 + cts.nu * spec.n_sites
+        for t, (value, error) in _log_ratios(cfg, cts, (-1.0, 0.5, 1.0)).items():
+            v1, v0 = -w * (even + t * lin), -w * even
+            shift = max(v1.max(), v0.max())
+            e1, e0 = np.exp(v1 - shift), np.exp(v0 - shift)
+            m1, m0 = e1.mean(), e0.mean()
+            cov = np.cov(e1, e0)
+            var = (cov[0, 0] / m1 ** 2 - 2 * cov[0, 1] / (m1 * m0) + cov[1, 1] / m0 ** 2)
+            assert value == pytest.approx(math.log(m1 / m0), rel=1e-10, abs=0)
+            assert error == pytest.approx(math.sqrt(var / cfg.n_samples), rel=1e-10, abs=0)
 
     def test_method_follows_the_node_cap(self):
         big = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)
@@ -184,10 +211,11 @@ class TestQuadratureGrid:
     def test_matches_node_major_oracle(self, spec, f, gh):
         cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, gh_nodes=gh)
         cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
-        got = _quadrature_log_ratio(cfg, cts, self.T_VALUES)
+        got = _log_ratios(cfg, cts, self.T_VALUES)
         want = oracle_log_ratio(cfg, cts, self.T_VALUES)
         for t in self.T_VALUES:
-            assert got[t] == pytest.approx(want[t], rel=1e-12, abs=0)
+            assert got[t][0] == pytest.approx(want[t], rel=1e-12, abs=0)
+            assert got[t][1] == 0.0
 
     def test_small_ratio_matches_extended_precision_sums(self):
         # the engine's own node sums, reduced in extended precision as two
@@ -205,7 +233,7 @@ class TestQuadratureGrid:
             return m + np.log(np.sum(weights.astype(ld) * np.exp(logs - m)))
 
         want = log_sum(-w * (even + ld(0.3) * lin.astype(ld))) - log_sum(-w * even)
-        got = _quadrature_log_ratio(cfg, cts, (0.3,))[0.3]
+        got = _log_ratios(cfg, cts, (0.3,))[0.3][0]
         assert 6e-6 < got < 7e-6
         assert abs((ld(got) - want) / want) <= 1e-14
 
@@ -213,7 +241,7 @@ class TestQuadratureGrid:
         _node_grid.cache_clear()
         for lam, f in ((0.02, F), (0.07, (0.1, 0.9, -0.3, 0.0))):
             cfg = ExperimentConfig(spec=REF, lam=lam, f=f, gh_nodes=12)
-            _quadrature_log_ratio(cfg, counterterms(REF, lam, nu_order=1))
+            _log_ratios(cfg, counterterms(REF, lam, nu_order=1))
         info = _node_grid.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         for arr in _node_grid(REF, 12):
