@@ -4,9 +4,11 @@ Estimates log(Z(f)/Z(0)) with one ratio estimator over one of two node sets:
 the Gauss-Hermite tensor grid over the diagonalized covariance, the
 sampling-free ground truth, while its gh_nodes ** n_sites nodes are at most
 QUADRATURE_NODE_CAP = 32^4, else Monte Carlo draws with uniform weights,
-shared by numerator and denominator.  The grid's weights and per-node sums
-of phi^2 and phi^4 depend on neither lambda nor f; they are built once per
-(spec, gh_nodes) and kept for the last four grids.  C_j calibration needs
+shared by numerator and denominator.  The measure is even under phi -> -phi,
+so the draws come as n_samples / 2 antithetic pairs {phi, -phi}, and the MC
+error is taken over the independent pairs.  The grid's weights and per-node
+sums of phi^2 and phi^4 depend on neither lambda nor f; they are built once
+per (spec, gh_nodes) and kept for the last four grids.  C_j calibration needs
 the grid and refuses one over the cap with InfeasibleSizeError (CLI exit 3).
 Compares the estimates with the truncated series inside a remainder envelope
 and measures the non-Gaussian fourth cumulant of the source-coupled field."""
@@ -61,9 +63,9 @@ class ExperimentConfig:
         self.spec.source(self.f)
         if self.gh_nodes < 1:
             raise ValueError("gh_nodes must be at least 1")
-        if self.n_samples < 2:
-            # the MC error bar divides by n - 1, undefined for one sample
-            raise ValueError("n_samples must be at least 2")
+        if self.n_samples < 4 or self.n_samples % 2:
+            # n_samples / 2 antithetic pairs; the MC error bar divides by pairs - 1
+            raise ValueError("n_samples must be even and at least 4")
 
     @property
     def method(self) -> str:
@@ -107,11 +109,18 @@ def _gauss_hermite(nodes: int):
     return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
 
 
+@functools.lru_cache(maxsize=4)
 def _mode_basis(spec: LatticeSpec):
+    """The mode basis A, phi = A y for y ~ N(0, I): the eigenvectors of the
+    dense covariance C^(<=N) scaled by the square roots of its eigenvalues.
+    Read-only and kept for the last four specs; an entry holds n_sites^2
+    floats, 512 KiB on 256 sites and 2 GiB at MAX_MATRIX_SITES."""
     M = covariance_cumulative(spec, spec.N).matrix()
     evals, evecs = np.linalg.eigh(M)
     evals = np.clip(evals, 0.0, None)
-    return evecs * np.sqrt(evals)[None, :]  # phi = A @ y, y ~ N(0, I)
+    A = evecs * np.sqrt(evals)[None, :]
+    A.setflags(write=False)
+    return A
 
 
 @functools.lru_cache(maxsize=4)
@@ -136,7 +145,7 @@ def _node_grid(spec: LatticeSpec, gh_nodes: int):
     phi = A @ y  # site-major (sites, nodes)
     s2 = np.square(phi, out=y).sum(axis=0)
     s4 = np.power(phi, 4.0, out=phi).sum(axis=0)  # phi**4 to the last bit
-    for arr in (weights, s2, s4, x, A):
+    for arr in (weights, s2, s4, x):
         arr.setflags(write=False)
     return weights, s2, s4, x, A
 
@@ -144,30 +153,34 @@ def _node_grid(spec: LatticeSpec, gh_nodes: int):
 def _nodes(cfg: ExperimentConfig):
     """(weights, s2, s4, lin) per node, the field points the log-ratio sums
     over: the Gauss-Hermite grid of _node_grid while quadrature_feasible,
-    else cfg.n_samples draws phi = A y with uniform weights.  s2 = sum_x
-    phi_x^2, s4 = sum_x phi_x^4 and lin = sum_x f_x phi_x."""
+    else cfg.n_samples draws with uniform weights, P = n_samples / 2 fields
+    phi = A y followed by their mirrors -phi (node k pairs with k + P).
+    s2 = sum_x phi_x^2, s4 = sum_x phi_x^4 and lin = sum_x f_x phi_x."""
     if cfg.method == "exact-quadrature":
         weights, s2, s4, x, A = _node_grid(cfg.spec, cfg.gh_nodes)
         # f . phi = sum_k (A^T f)_k y_k, an outer sum over the modes
         lin = functools.reduce(np.add.outer, [c * x for c in A.T @ cfg.f_array]).ravel()
         return weights, s2, s4, lin
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
-    y = rng.standard_normal((cfg.n_samples, cfg.spec.n_sites))
-    phi = _mode_basis(cfg.spec) @ y.T  # site-major (sites, samples)
+    y = rng.standard_normal((cfg.n_samples // 2, cfg.spec.n_sites))
+    phi = _mode_basis(cfg.spec) @ y.T  # site-major (sites, pairs)
     lin = cfg.f_array @ phi
     s2 = np.square(phi, out=phi).sum(axis=0)
     s4 = np.square(phi, out=phi).sum(axis=0)  # per call: a square is far cheaper than pow
-    return np.full(cfg.n_samples, 1.0 / cfg.n_samples), s2, s4, lin
+    # -phi has the same even sums and the opposite source term
+    return (np.full(cfg.n_samples, 1.0 / cfg.n_samples), np.tile(s2, 2), np.tile(s4, 2),
+            np.concatenate((lin, -lin)))
 
 
-def _log_ratios(cfg: ExperimentConfig, cts: Counterterms, t_values=(1.0,)) -> dict:
-    """(log Z(t f) - log Z(0), error) for each t, over the nodes of _nodes.
+def _log_ratio_terms(cfg: ExperimentConfig, cts: Counterterms, t_values) -> dict:
+    """{t: (log Z(t f) - log Z(0), q)} over the nodes of _nodes.
 
     With p the node weights times exp(-a^d sum_x (lambda phi^4 + mu phi^2 +
-    nu)), normalized, and e = expm1(-a^d t lin), it is log1p(m), m = p . e:
-    a small log-ratio does not inherit the rounding of log Z(0), as a
-    difference of two log-sums would.  The error is the delta-method standard
-    error sqrt(n/(n-1) sum_i (p_i (e_i - m))^2) / (1 + m) on n draws, 0 on the grid.
+    nu)), normalized, and e = expm1(-a^d t lin), the value is log1p(m),
+    m = p . e: a small log-ratio does not inherit the rounding of log Z(0),
+    as a difference of two log-sums would.  q holds one entry per antithetic
+    pair, the delta-method influences p_k (e_k - m) / (1 + m) of its two
+    nodes summed; it is empty on the grid, which has no sampling error.
     """
     spec = cfg.spec
     weights, s2, s4, lin = _nodes(cfg)
@@ -175,14 +188,28 @@ def _log_ratios(cfg: ExperimentConfig, cts: Counterterms, t_values=(1.0,)) -> di
     logs0 = -w * (cfg.lam * s4 + cts.mu * s2 + cts.nu * spec.n_sites)
     p = weights * np.exp(logs0 - logs0.max())
     p /= p.sum()
-    draws = len(p) if cfg.method == "MC" else 0
+    pairs = len(p) // 2 if cfg.method == "MC" else 0
     out = {}
     for t in t_values:
         e = np.expm1(-w * t * lin)
         m = float(p @ e)
-        var = draws / (draws - 1) * float(np.sum(np.square(p * (e - m)))) if draws else 0.0
-        out[t] = (math.log1p(m), math.sqrt(var) / (1 + m))
+        influence = p[:2 * pairs] * (e[:2 * pairs] - m) / (1 + m)  # empty on the grid
+        out[t] = (math.log1p(m), influence[:pairs] + influence[pairs:])
     return out
+
+
+def _pair_error(q: np.ndarray) -> float:
+    """Standard error sqrt(P/(P-1) sum q^2) of a sum of influences q over P
+    independent pairs; 0 when there are none (the grid)."""
+    P = len(q)
+    return math.sqrt(P / (P - 1) * float(q @ q)) if P else 0.0
+
+
+def _log_ratios(cfg: ExperimentConfig, cts: Counterterms, t_values=(1.0,)) -> dict:
+    """(log Z(t f) - log Z(0), error) for each t: the value of _log_ratio_terms
+    and the pair error of its influences, 0 on the grid."""
+    return {t: (value, _pair_error(q))
+            for t, (value, q) in _log_ratio_terms(cfg, cts, t_values).items()}
 
 
 def series_prediction(cfg: ExperimentConfig, cts: Counterterms | None = None) -> float:
@@ -321,6 +348,9 @@ def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5) -> dict:
 
     Differentiates g(t) = log(Z(t f)/Z(0)) four times at t=0 and compares with
     the order-lambda prediction  -4! lambda a^d sum_z ((C * f)_z)^4.
+    ``kappa4_error`` is the pair error of the stencil on MC draws, the
+    per-pair influences of the four g(t) weighted by the stencil
+    coefficients; 0 on the grid.
     """
     if delta <= 1e-6:
         raise ValueError("stencil step too small")
@@ -328,11 +358,12 @@ def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5) -> dict:
         raise ValueError("stencil step must keep |t f| <= 1")
     spec = cfg.spec
     cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
-    ts = [-2 * delta, -delta, delta, 2 * delta]
-    g = {t: raw for t, (raw, _) in _log_ratios(cfg, cts, ts).items()}
-    kappa4 = (g[-2 * delta] - 4 * g[-delta] - 4 * g[delta] + g[2 * delta]) / delta ** 4
+    stencil = {-2 * delta: 1, -delta: -4, delta: -4, 2 * delta: 1}
+    terms = _log_ratio_terms(cfg, cts, stencil)
+    kappa4 = sum(c * terms[t][0] for t, c in stencil.items()) / delta ** 4
+    kappa4_error = _pair_error(sum(c * terms[t][1] for t, c in stencil.items())) / delta ** 4
     conv = _smeared_source(spec, cfg.f_array)
     prediction = -math.factorial(4) * cfg.lam * spec.a ** spec.d * float(np.sum(conv ** 4))
-    return {"kappa4": float(kappa4), "prediction": prediction,
+    return {"kappa4": float(kappa4), "kappa4_error": kappa4_error, "prediction": prediction,
             "relative_gap": (abs(kappa4 - prediction) / abs(prediction)
                              if prediction else float("inf"))}

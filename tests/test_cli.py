@@ -186,6 +186,12 @@ class TestSubcommands:
         assert params["samples_requested"] == 10
         assert "quadrature_nodes" not in params
 
+    def test_stability_odd_samples_exits_2(self, runner, tmp_path):
+        # MC draws come in antithetic pairs, so the count must be even
+        result = runner.invoke(main, ["stability", "--samples", "1001", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "n_samples" in result.stderr
+
     def test_stability_oversized_grid_exits_3(self, runner, tmp_path):
         # 8 sites at 32 nodes is a 32^8-node grid: MC is chosen, and the C_j
         # calibration on the coarsest lattice of the box, these same 8 sites,

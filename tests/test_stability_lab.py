@@ -64,6 +64,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_samples"):
             ExperimentConfig(spec=REF, lam=0.05, f=F, n_samples=1)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rejects_odd_or_fewer_than_two_pairs(self, n):
+        # draws come in antithetic pairs, and the pair error divides by pairs - 1
+        with pytest.raises(ValueError, match="n_samples"):
+            ExperimentConfig(spec=REF, lam=0.05, f=F, n_samples=n)
+
     def test_threshold_grows_for_small_coupling(self):
         a = ExperimentConfig(spec=REF, lam=0.001).B
         b = ExperimentConfig(spec=REF, lam=0.1).B
@@ -120,8 +126,11 @@ class TestEstimators:
     @pytest.mark.parametrize("spec", [LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2),
                                       LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)])
     def test_mc_matches_ratio_of_means(self, spec):
-        # reference: log of a ratio of sample means with the np.cov delta-method
-        # error bar, over the same draws
+        # reference: log of a ratio of sample means, with the np.cov
+        # delta-method error bar over the P independent pair means, over the
+        # same draws.  Mirroring cancels most of the pair means' spread, so
+        # the three covariance terms nearly cancel (1e-2 each against a sum
+        # of 1e-8 on 64 sites): they are taken in extended precision.
         f = tuple(np.random.default_rng(3).uniform(-0.5, 0.5, spec.n_sites))
         cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, seed=7, n_samples=20_000)
         assert cfg.method == "MC"
@@ -129,15 +138,18 @@ class TestEstimators:
         _, s2, s4, lin = _nodes(cfg)
         w = spec.a ** spec.d
         even = cfg.lam * s4 + cts.mu * s2 + cts.nu * spec.n_sites
+        P = cfg.n_samples // 2
         for t, (value, error) in _log_ratios(cfg, cts, (-1.0, 0.5, 1.0)).items():
             v1, v0 = -w * (even + t * lin), -w * even
             shift = max(v1.max(), v0.max())
             e1, e0 = np.exp(v1 - shift), np.exp(v0 - shift)
             m1, m0 = e1.mean(), e0.mean()
-            cov = np.cov(e1, e0)
-            var = (cov[0, 0] / m1 ** 2 - 2 * cov[0, 1] / (m1 * m0) + cov[1, 1] / m0 ** 2)
             assert value == pytest.approx(math.log(m1 / m0), rel=1e-10, abs=0)
-            assert error == pytest.approx(math.sqrt(var / cfg.n_samples), rel=1e-10, abs=0)
+            e1, e0 = e1.astype(np.longdouble), e0.astype(np.longdouble)
+            m1, m0 = e1.mean(), e0.mean()
+            cov = np.cov((e1[:P] + e1[P:]) / 2, (e0[:P] + e0[P:]) / 2)
+            var = (cov[0, 0] / m1 ** 2 - 2 * cov[0, 1] / (m1 * m0) + cov[1, 1] / m0 ** 2)
+            assert error == pytest.approx(float(np.sqrt(var / P)), rel=1e-10, abs=0)
 
     def test_method_follows_the_node_cap(self):
         big = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)
@@ -177,6 +189,76 @@ class TestEstimators:
         cfg0 = ExperimentConfig(spec=REF, lam=0.05, f=None, j=1)
         assert series_prediction(cfg0) == pytest.approx(0.0, abs=1e-14)
         assert series_prediction(cfg) != 0.0
+
+
+SIXTEEN = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)  # the CLI's default lattice
+
+
+def cli_source(spec):
+    """The source `phi4lab stability` draws at its default seed 0."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0))
+    return tuple(rng.uniform(-0.5, 0.5, spec.n_sites))
+
+
+class TestAntitheticPairs:
+    def test_nodes_are_mirrored_bitwise(self):
+        cfg = ExperimentConfig(spec=SIXTEEN, lam=0.05, f=cli_source(SIXTEEN), seed=4,
+                               n_samples=1000)
+        weights, s2, s4, lin = _nodes(cfg)
+        assert len(weights) == len(lin) == 1000 and np.all(weights == 1 / 1000)
+        assert np.array_equal(s2[:500], s2[500:]) and np.array_equal(s4[:500], s4[500:])
+        assert np.array_equal(lin[500:], -lin[:500])
+
+    def test_log_ratio_is_even_in_the_source(self):
+        cfg = ExperimentConfig(spec=SIXTEEN, lam=0.05, f=cli_source(SIXTEEN), seed=4,
+                               n_samples=1000)
+        got = _log_ratios(cfg, counterterms(SIXTEEN, cfg.lam, nu_order=cfg.j),
+                          (-1.0, -0.5, 0.5, 1.0))
+        for t in (0.5, 1.0):
+            assert got[-t][0] == pytest.approx(got[t][0], rel=1e-12, abs=0)
+            assert got[-t][1] == pytest.approx(got[t][1], rel=1e-12, abs=0)
+
+    def test_pair_error_matches_seed_spread(self):
+        cts = counterterms(SIXTEEN, 0.05, nu_order=1)
+        values, errors = zip(*(
+            _log_ratios(ExperimentConfig(spec=SIXTEEN, lam=0.05, f=cli_source(SIXTEEN),
+                                         seed=seed, n_samples=1000), cts)[1.0]
+            for seed in range(100)))
+        assert np.std(values, ddof=1) == pytest.approx(np.median(errors), rel=0.2)
+
+    def test_kappa4_error_matches_seed_spread(self):
+        runs = [nongaussianity(ExperimentConfig(spec=SIXTEEN, lam=0.05, f=cli_source(SIXTEEN),
+                                                seed=seed, n_samples=1000))
+                for seed in range(100)]
+        # the delta method estimates a variance, so its mean square is what
+        # matches the spread; at 500 pairs the per-seed error is skewed and its
+        # median reads about 25 % under the spread
+        spread = np.std([r["kappa4"] for r in runs], ddof=1)
+        rms = math.sqrt(np.mean(np.square([r["kappa4_error"] for r in runs])))
+        assert spread == pytest.approx(rms, rel=0.2)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_gaussian_control_within_three_errors(self, N):
+        # untilted draws: at lam = 0 the ratio is statistical, not exact
+        spec = replace(SIXTEEN, N=N)
+        f = cli_source(spec)
+        rep = estimate_Z(ExperimentConfig(spec=spec, lam=0.0, f=f, n_samples=1000))
+        fa = np.asarray(f)
+        M = covariance_cumulative(spec, spec.N).matrix()
+        exact = 0.5 * spec.a ** (2 * spec.d) * fa @ M @ fa / (spec.n_sites * spec.a ** spec.d)
+        assert rep.extras["method"] == "MC" and rep.error > 0
+        assert abs(rep.value - exact) <= 3 * rep.error
+
+    def test_mode_basis_is_cached_and_read_only(self):
+        _mode_basis.cache_clear()
+        for seed in (1, 2):
+            _nodes(ExperimentConfig(spec=SIXTEEN, lam=0.05, f=cli_source(SIXTEEN), seed=seed,
+                                    n_samples=1000))
+        info = _mode_basis.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        A = _mode_basis(SIXTEEN)
+        with pytest.raises(ValueError):
+            A[0, 0] = 0.0
 
 
 def oracle_log_ratio(cfg, cts, t_values):
@@ -291,6 +373,7 @@ class TestNonGaussianity:
         res = nongaussianity(cfg)
         assert res["kappa4"] < 0
         assert res["relative_gap"] < 0.10
+        assert res["kappa4_error"] == 0.0  # the grid has no sampling error
 
     def test_contamination_shrinks_with_coupling(self):
         gaps = []
