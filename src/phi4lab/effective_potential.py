@@ -34,8 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice_propagator import (
+    MAX_TENSOR_ENTRIES,
     InfeasibleSizeError,
     LatticeSpec,
+    _shared_matrix,
     covariance_band,
     covariance_cumulative,
     difference_kernel,
@@ -56,8 +58,6 @@ __all__ = [
     "flow_constant",
     "require_flow",
 ]
-
-MAX_TENSOR_ENTRIES = 50_000_000
 
 
 def _check_entries(n: int, rank: int):
@@ -226,7 +226,7 @@ def truncated_integrate(V: PotentialFunctional, j: int) -> PotentialFunctional:
     h = V.h
     if h < 1:
         raise ValueError("no layer left to integrate")
-    cov = covariance_band(V.spec, h).matrix()
+    cov = _shared_matrix(covariance_band(V.spec, h))
     out = PotentialFunctional(V.spec, h - 1)
     blocks = [(o, legs, c) for (o, legs), c in V.blocks.items()]
     for k in range(1, j + 1):

@@ -22,8 +22,13 @@ polynomial in lambda (first order -6 lambda C_00, second order the d=3 local
 chain part), which makes order bookkeeping in the series exact.
 
 Each (n, p, r) family's topology table and each topology's einsum plan per
-(lines, kinds, n_sites) are memoized, keyed on no kernel, source or coupling;
-a series builds the dense covariance matrix once for all its families.
+(lines, kinds, n_sites) are memoized, keyed on no kernel, source or coupling.
+A plan is numpy's optimize=True contraction path compiled into the pairwise
+matmul/multiply steps numpy would run for it, replayed with no per-call
+parsing; before the dense covariance is built, the counterterms and the
+series refuse a family whose steps pass MAX_TENSOR_ENTRIES.  The dense
+covariance itself comes from the read-only matrix memo of
+``lattice_propagator``, built once per kernel.
 """
 
 from __future__ import annotations
@@ -32,13 +37,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .lattice_propagator import (
+    MAX_TENSOR_ENTRIES,
     InfeasibleSizeError,
     LatticeSpec,
     PropagatorKernel,
+    _shared_matrix,
     covariance_cumulative,
 )
 
@@ -330,12 +338,79 @@ def _topology_table(n: int, p: int, r: int) -> tuple:
     return tuple((raw, kinds, count) for raw, count in buckets.values())
 
 
+class _Step(NamedTuple):
+    """One contraction of a compiled plan, as np.einsum(optimize=True) runs it.
+
+    The operands at ``positions`` (descending) are popped, contracted by the
+    einsum equation ``eq`` and the result, of ``entries`` entries, appended.
+    A step over one operand, or over all that remain, is the single call
+    ``np.einsum(eq, *operands)``.  A pair (a, b), popped in that order, is
+    prepared one operand at a time: ``np.einsum(prep_a, a)`` transposes it or
+    sums an index no other term holds, then it is reshaped to ``shape_a``;
+    then ``np.multiply(a, b)`` when no index is contracted, else
+    ``np.matmul(a, b)`` reshaped to ``shape_out`` and transposed by ``perm``.
+    A None field is a call numpy skips too."""
+
+    positions: tuple
+    eq: str
+    entries: int
+    prep_a: str | None = None
+    shape_a: tuple | None = None
+    prep_b: str | None = None
+    shape_b: tuple | None = None
+    multiply: bool = False
+    shape_out: tuple | None = None
+    perm: tuple | None = None
+
+
+def _pair_step(positions, a_term: str, b_term: str, out: str, n: int) -> _Step:
+    """The pairwise einsum a_term,b_term->out over indices of size n > 1,
+    compiled to the calls of numpy's batched-matmul executor (after
+    J. Gray's einsum_bmm): batch indices first, then kept, then contracted."""
+    bat = [ix for ix in a_term if ix in b_term and ix in out]
+    con = [ix for ix in a_term if ix in b_term and ix not in out]
+    a_keep = [ix for ix in a_term if ix not in b_term and ix in out]
+    b_keep = [ix for ix in b_term if ix not in a_term and ix in out]
+
+    def prep(term, desired):
+        return None if desired == term else f"{term}->{desired}"
+
+    eq, entries = f"{a_term},{b_term}->{out}", n ** len(out)
+    if not con:
+        # pure multiplication: each term transposed into output order, with
+        # singleton axes where the other term's indices go
+        return _Step(positions, eq, entries,
+                     prep_a=prep(a_term, "".join(ix for ix in out if ix in a_term)),
+                     shape_a=tuple(n if ix in a_term else 1 for ix in out),
+                     prep_b=prep(b_term, "".join(ix for ix in out if ix in b_term)),
+                     shape_b=tuple(n if ix in b_term else 1 for ix in out),
+                     multiply=True)
+    lead = (bat,) if bat else ()  # no size-1 batch axis without batch indices
+    lgroups, rgroups, ogroups = lead + (a_keep, con), lead + (con, b_keep), lead + (a_keep, b_keep)
+
+    def fused(gs):
+        return tuple(n ** len(g) for g in gs) if any(len(g) != 1 for g in gs) else None
+
+    produced = "".join(bat + a_keep + b_keep)
+    return _Step(positions, eq, entries,
+                 prep_a=prep(a_term, "".join(bat + a_keep + con)), shape_a=fused(lgroups),
+                 prep_b=prep(b_term, "".join(bat + con + b_keep)), shape_b=fused(rgroups),
+                 shape_out=(tuple(n for g in ogroups for _ in g)
+                            if any(len(g) != 1 for g in ogroups) else None),
+                 perm=None if produced == out else tuple(produced.index(ix) for ix in out))
+
+
 @functools.lru_cache(maxsize=1024)
 def _contraction_plan(lines: tuple, element_kinds: tuple, n_sites: int) -> tuple:
-    """(subscripts, operand roles, path, free vertex count) of one topology:
-    roles M (a line), c0 (a self-loop's C(0) vector), f (an external leg); the
-    path is np.einsum's optimize=True choice for these shapes.  The key holds
-    no kernel, source or coupling; 1024 plans stay under 1 MiB."""
+    """(operand roles, steps, free vertex count) of one topology.
+
+    Roles are M (a line), c0 (a self-loop's C(0) vector) and f (an external
+    leg).  The contraction order is np.einsum_path's optimize=True choice for
+    these shapes, searched once; it is compiled into ``_Step`` calls, the
+    ones np.einsum(optimize=True) would make, so replaying them gives its
+    float result bit for bit with no per-call parsing.  The key holds no
+    kernel, source or coupling, and a plan holds no array; 1024 plans stay
+    under 1 MiB."""
     letters = "abcdefghijklmnopqrstuvwxyz"
     k = len(element_kinds)
     if k > len(letters):
@@ -353,21 +428,55 @@ def _contraction_plan(lines: tuple, element_kinds: tuple, n_sites: int) -> tuple
             used.add(v)
     free = k - len(used)
     if not roles:
-        return None, (), None, free
-    subscripts = ",".join(subs) + "->"
+        return (), (), free
     shapes = [np.broadcast_to(0.0, (n_sites,) * len(sub)) for sub in subs]
-    path = tuple(np.einsum_path(subscripts, *shapes, optimize=True)[0])
-    return subscripts, tuple(roles), path, free
+    path = np.einsum_path(",".join(subs) + "->", *shapes, optimize=True)[0][1:]
+    steps = []
+    for positions in path:
+        positions = tuple(sorted(positions, reverse=True))
+        terms = [subs.pop(x) for x in positions]
+        # a result keeps the indices a later term needs, in letter order
+        # (all sizes are equal); the last one is the scalar
+        out = "".join(sorted(set("".join(terms)) & set("".join(subs))))
+        subs.append(out)
+        if len(terms) == 2:
+            steps.append(_pair_step(positions, *terms, out, n_sites))
+        else:
+            steps.append(_Step(positions, ",".join(terms) + "->" + out, n_sites ** len(out)))
+    return tuple(roles), tuple(steps), free
 
 
 def _einsum_sum(lines, element_kinds, M, f, n_sites):
     """Sum of prod-of-lines (and f factors) over all vertex position assignments."""
-    subs, roles, path, free = _contraction_plan(tuple(lines), tuple(element_kinds), n_sites)
+    roles, steps, free = _contraction_plan(tuple(lines), tuple(element_kinds), n_sites)
     if not roles:
         return float(n_sites ** free)
-    operands = {"M": M, "c0": np.full(n_sites, M[0, 0]) if "c0" in roles else None, "f": f}
-    total = np.einsum(subs, *(operands[r] for r in roles), optimize=path)
-    return float(total) * n_sites ** free
+    c0 = np.full(n_sites, M[0, 0]) if "c0" in roles else None
+    ops = [M if r == "M" else c0 if r == "c0" else f for r in roles]
+    for s in steps:
+        terms = [ops.pop(x) for x in s.positions]
+        if len(terms) != 2:
+            ops.append(np.einsum(s.eq, *terms))
+            continue
+        a, b = terms
+        if s.prep_a is not None:
+            a = np.einsum(s.prep_a, a)
+        if s.shape_a is not None:
+            a = a.reshape(s.shape_a)
+        if s.prep_b is not None:
+            b = np.einsum(s.prep_b, b)
+        if s.shape_b is not None:
+            b = b.reshape(s.shape_b)
+        if s.multiply:
+            ops.append(np.multiply(a, b))
+            continue
+        ab = np.matmul(a, b)
+        if s.shape_out is not None:
+            ab = ab.reshape(s.shape_out)
+        if s.perm is not None:
+            ab = ab.transpose(s.perm)
+        ops.append(ab)
+    return float(ops[0]) * n_sites ** free
 
 
 def integrated_value(G: FeynmanGraph, kernel: PropagatorKernel, f,
@@ -385,7 +494,7 @@ def integrated_value(G: FeynmanGraph, kernel: PropagatorKernel, f,
     pref = (-1.0) ** (n + p + r) * lam ** n * mu ** p
     pref /= math.factorial(n) * math.factorial(p) * math.factorial(r)
     kinds = tuple(e.kind for e in G.elements)
-    S = _einsum_sum(G.lines(), kinds, kernel.matrix(), f_arr, spec.n_sites)
+    S = _einsum_sum(G.lines(), kinds, _shared_matrix(kernel), f_arr, spec.n_sites)
     return pref * S * spec.a ** (spec.d * len(G.elements))
 
 
@@ -406,6 +515,25 @@ def _poly_shift(a, k, jmax):
     if k <= jmax:
         out[k:] = a[: jmax + 1 - k]
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _family_peak(n: int, p: int, r: int, n_sites: int) -> int:
+    """Entries of the largest result a contraction step makes over the
+    topologies of the connected (n, p, r) family."""
+    return max((s.entries for raw, kinds, _ in _topology_table(n, p, r)
+                for s in _contraction_plan(raw, kinds, n_sites)[1]), default=0)
+
+
+def _require_plans(families, n_sites: int):
+    """Refuse a sum over the (n, p, r) families before the dense matrix is
+    built when a step of their plans would make over MAX_TENSOR_ENTRIES."""
+    for n, p, r in families:
+        peak = _family_peak(n, p, r, n_sites)
+        if peak > MAX_TENSOR_ENTRIES:
+            raise InfeasibleSizeError(f"the ({n},{p},{r}) graphs on {n_sites} sites contract "
+                                      f"through {peak} entries, over MAX_TENSOR_ENTRIES = "
+                                      f"{MAX_TENSOR_ENTRIES}")
 
 
 def _family_poly(n, p, r, spec, M, f_arr, mu_poly, jmax):
@@ -470,15 +598,14 @@ def vacuum_density_poly(spec: LatticeSpec, kernel: PropagatorKernel,
     """
     total = np.zeros(order + 1)
     vol = spec.n_sites * spec.a ** spec.d
-    M = kernel.matrix()
-    for n in range(0, order + 1):
-        for p in range(0, order + 1 - n):
-            if n == 0 and p == 0:
-                continue
-            part = _family_poly(n, p, 0, spec, M, np.zeros(spec.n_sites),
-                                mu_poly, order)
-            if part is not None:
-                total += part
+    families = [(n, p, 0) for n in range(order + 1) for p in range(order + 1 - n) if n + p]
+    _require_plans(families, spec.n_sites)
+    M = _shared_matrix(kernel)
+    zeros = np.zeros(spec.n_sites)
+    for n, p, r in families:
+        part = _family_poly(n, p, r, spec, M, zeros, mu_poly, order)
+        if part is not None:
+            total += part
     return total / vol
 
 
@@ -618,17 +745,16 @@ def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
     f_arr = spec.source(f)
     vol = spec.n_sites * spec.a ** spec.d
     coeffs = np.zeros(j + 1)
-    have_f = bool(np.any(f_arr))
-    M = kernel.matrix()
-    for n in range(0, j + 1):
-        for p in range(0, j + 1 - n):
-            # external legs carry the source: none without one
-            for r in range(0, 5 if have_f else 1):
-                if n + p + r == 0 or (4 * n + 2 * p + r) % 2:
-                    continue
-                part = _family_poly(n, p, r, spec, M, f_arr, cts.mu_poly, j)
-                if part is not None:
-                    coeffs += part / vol
+    # external legs carry the source: none without one
+    legs = range(0, 5, 2) if np.any(f_arr) else (0,)
+    families = [(n, p, r) for n in range(j + 1) for p in range(j + 1 - n) for r in legs
+                if n + p + r]
+    _require_plans(families, spec.n_sites)
+    M = _shared_matrix(kernel)
+    for n, p, r in families:
+        part = _family_poly(n, p, r, spec, M, f_arr, cts.mu_poly, j)
+        if part is not None:
+            coeffs += part / vol
     # constant counterterm: V carries -nu per unit volume
     npoly = cts.nu_poly if cts.nu_poly is not None else np.zeros(1)
     for k in range(min(len(npoly), j + 1)):

@@ -218,6 +218,9 @@ BOUNDARY = [
     (["rgflow", "--dim", "3", "--cutoff", "5", "--order", "2"], 3),  # 32768^2 block entries
     (["rgflow", "--dim", "3", "--cutoff", "3", "--order", "3"], 3),  # 512^3 block entries
     (["graphs", "--order", "4"], 3),  # MAX_ORDER
+    # 128^2 sites: an order-2 or order-3 graph contracts through 16384^2 entries
+    (["graphs", "--dim", "2", "--cutoff", "7", "--order", "2"], 3),
+    (["graphs", "--dim", "2", "--cutoff", "7", "--order", "3"], 3),
     (["rgflow", "--order", "4"], 3),
     (["stability", "--dim", "3", "--cutoff", "1"], 3),  # a 32^8-node calibration grid
     (["propagator", "--cutoff", "1"], 2),  # too few displacement classes to fit

@@ -101,13 +101,14 @@ class TestWickOracle:
         assert wick_oracle(sites, M) == pytest.approx(reference(tuple(sites)), abs=1e-12)
 
 
+MOMENT_FAMILIES = [(1, 0, 0), (0, 1, 0), (0, 2, 0), (1, 1, 0), (2, 0, 0),
+                   (1, 0, 2), (0, 1, 2), (0, 0, 2), (0, 0, 4), (1, 0, 4)]
+
+
 class TestFamilyMoments:
     """Aggregated labeled-matching sums reproduce raw Gaussian moments."""
 
-    @pytest.mark.parametrize("n,p,r", [
-        (1, 0, 0), (0, 1, 0), (0, 2, 0), (1, 1, 0), (2, 0, 0),
-        (1, 0, 2), (0, 1, 2), (0, 0, 2), (0, 0, 4), (1, 0, 4),
-    ])
+    @pytest.mark.parametrize("n,p,r", MOMENT_FAMILIES)
     def test_engine_equals_oracle_moment(self, n, p, r):
         f = np.array([0.8, -0.5, 0.3, 0.1])
         w = SPEC.a ** SPEC.d
@@ -367,13 +368,25 @@ def _oracle_einsum_sum(lines, element_kinds, M, f, n_sites):
 
 PLAN_SPECS = [LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2),
               LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2),
-              LatticeSpec(d=3, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)]
-PLAN_FAMILIES = [(n, p, r) for n in range(3) for p in range(3 - n) for r in range(5)
-                 if n + p + r > 0 and r % 2 == 0]
+              LatticeSpec(d=3, L=0.25, m=4.0, gamma=math.sqrt(2), N=2),
+              LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=1),
+              LatticeSpec(d=2, L=1.0, m=1.0, gamma=3.0, N=2)]  # odd side 9
+PLAN_FAMILIES = [(n, p, r) for n in range(4) for p in range(4 - n) for r in (0, 2, 4)
+                 if n + p + r > 0]
+
+
+def _plan_id(spec):
+    return f"d{spec.d}n{spec.n_sites}" + ("" if spec.N == 2 else f"N{spec.N}")
+
+
+def _sums_an_index(step):
+    """Whether a one-operand prep of a pair step sums an index away."""
+    return any(eq is not None and len(eq.split("->")[1]) < len(eq.split("->")[0])
+               for eq in (step.prep_a, step.prep_b))
 
 
 class TestContractionPlans:
-    @pytest.mark.parametrize("spec", PLAN_SPECS, ids=lambda s: f"d{s.d}n{s.n_sites}")
+    @pytest.mark.parametrize("spec", PLAN_SPECS, ids=_plan_id)
     def test_plans_match_per_call_einsum(self, spec):
         M = covariance_cumulative(spec, spec.N).matrix()
         f = np.random.default_rng(2).uniform(-0.5, 0.5, spec.n_sites)
@@ -384,27 +397,82 @@ class TestContractionPlans:
                 want = _oracle_einsum_sum(raw, kinds, M, f, spec.n_sites)
                 assert got.hex() == want.hex(), (n, p, r, raw)
                 checked += 1
+            if n + p > 2:
+                continue
             # integrated_value passes a representative's unsorted lines
             for g, _, _ in aggregate_topologies(enumerate_connected(n, p, r)):
                 kinds = tuple(e.kind for e in g.elements)
                 assert _einsum_sum(g.lines(), kinds, M, f, spec.n_sites).hex() \
                     == _oracle_einsum_sum(g.lines(), kinds, M, f, spec.n_sites).hex()
-        assert checked == 19  # every topology of the families above
+        assert checked == 66  # every topology of the families above, 19 of them at j <= 2
+
+    def test_order_three_reaches_more_step_equations(self):
+        # the distinct einsum equations the plans contract, over every lattice
+        def equations(order):
+            return {s.eq for spec in PLAN_SPECS for n, p, r in PLAN_FAMILIES if n + p <= order
+                    for raw, kinds, _ in _topology_table(n, p, r)
+                    for s in _contraction_plan(raw, kinds, spec.n_sites)[1]}
+        assert len(equations(2)) == 18
+        assert len(equations(3)) == 43
+
+    @pytest.mark.parametrize("spec", PLAN_SPECS[:2], ids=_plan_id)
+    def test_disconnected_matchings_match_per_call_einsum(self, spec):
+        # the TestFamilyMoments path: every matching, connected or not; only
+        # a disconnected one has an index in one operand and not in the
+        # output, which a pair step's prep then sums away
+        kernel = covariance_cumulative(spec, spec.N)
+        M = kernel.matrix()
+        f = np.random.default_rng(3).uniform(-0.5, 0.5, spec.n_sites)
+        summed = {True: 0, False: 0}
+        for n, p, r in MOMENT_FAMILIES:
+            elements = _elements(n, p, r)
+            half = [(v, s) for v, el in enumerate(elements) for s in range(el.half_lines)]
+            graphs = [FeynmanGraph(elements=elements, pairing=m)
+                      for m in enumerate_matchings(half)]
+            for g, _, _ in aggregate_topologies(graphs):
+                kinds = tuple(e.kind for e in g.elements)
+                pref = (-1.0) ** (n + p + r) / (math.factorial(n) * math.factorial(p)
+                                                * math.factorial(r))
+                want = pref * _oracle_einsum_sum(g.lines(), kinds, M, f, spec.n_sites) \
+                    * spec.a ** (spec.d * len(g.elements))
+                assert integrated_value(g, kernel, f, lam=1.0, mu=1.0).hex() == want.hex()
+                steps = _contraction_plan(tuple(g.lines()), kinds, spec.n_sites)[1]
+                summed[g.connected] += any(_sums_an_index(s) for s in steps)
+        assert summed == {True: 0, False: 3}
 
     def test_line_free_graph_counts_positions(self):
         kinds = ("vacuum", "vacuum")
         assert _einsum_sum((), kinds, M, None, SPEC.n_sites) == SPEC.n_sites ** 2
-        assert _contraction_plan((), kinds, SPEC.n_sites) == (None, (), None, 2)
+        assert _contraction_plan((), kinds, SPEC.n_sites) == ((), (), 2)
 
     def test_plan_key_holds_no_arrays(self):
+        def plain(obj):
+            if isinstance(obj, tuple):
+                return all(plain(x) for x in obj)
+            return obj is None or isinstance(obj, (bool, int, str))
         raw, kinds, _ = _topology_table(1, 0, 2)[0]
-        subscripts, roles, path, free = _contraction_plan(raw, kinds, SPEC.n_sites)
-        assert isinstance(subscripts, str) and isinstance(path, tuple)
-        assert path[0] == "einsum_path"
+        plan = _contraction_plan(raw, kinds, SPEC.n_sites)
+        roles, steps, free = plan
+        assert plain(plan)
         assert set(roles) <= {"M", "c0", "f"} and free == 0
+        assert steps and all(s.entries <= SPEC.n_sites for s in steps)
         assert _contraction_plan.cache_info().maxsize is not None
 
-    @pytest.mark.parametrize("spec", PLAN_SPECS, ids=lambda s: f"d{s.d}n{s.n_sites}")
+    def test_oversized_contraction_refused_before_the_matrix(self, monkeypatch):
+        # on 16 sites the order-2 vacuum families contract through 16^2
+        # entries; order 1 contracts vectors only
+        def no_matrix(kernel):
+            raise AssertionError("dense matrix built")
+        spec = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)
+        monkeypatch.setattr(feynman_graphs, "MAX_TENSOR_ENTRIES", 16)
+        cts = counterterms(spec, 0.1, nu_order=1)
+        monkeypatch.setattr(feynman_graphs, "_shared_matrix", no_matrix)
+        with pytest.raises(InfeasibleSizeError, match="MAX_TENSOR_ENTRIES"):
+            counterterms(spec, 0.1, nu_order=2)
+        with pytest.raises(InfeasibleSizeError, match="MAX_TENSOR_ENTRIES"):
+            logZ_series(spec, 0.1, None, 2, cts=cts)
+
+    @pytest.mark.parametrize("spec", PLAN_SPECS, ids=_plan_id)
     def test_cold_equals_warm(self, spec):
         f = np.random.default_rng(4).uniform(-0.5, 0.5, spec.n_sites)
 

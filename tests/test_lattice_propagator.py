@@ -14,10 +14,13 @@ from phi4lab import (
     regulator_chi,
     bound_report,
 )
+from phi4lab import lattice_propagator
 from phi4lab.lattice_propagator import (
+    _MEMO_SITES,
     InfeasibleSizeError,
     PropagatorKernel,
     _range_weights,
+    _shared_matrix,
     _wrapped_windows,
 )
 
@@ -239,6 +242,62 @@ class TestKernelMemo:
         with pytest.raises(ValueError):
             scale_range_kernel(spec2(), 0, 3)
         assert scale_range_kernel.cache_info().currsize == before
+
+
+class TestMatrixMemo:
+    @pytest.mark.parametrize("spec", MEMO_SPECS)
+    def test_shared_matrix_equals_fresh_and_is_read_only(self, spec):
+        for lo, hi in _ranges(spec):
+            kernel = scale_range_kernel(spec, lo, hi)
+            shared = _shared_matrix(kernel)
+            assert shared.tobytes() == kernel.matrix().tobytes()
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0, 0] = 1.0
+            assert _shared_matrix(kernel) is shared
+            assert id(kernel) in lattice_propagator._matrices
+
+    def test_matrix_stays_fresh_and_writeable(self):
+        kernel = covariance_cumulative(spec2(), 2)
+        _shared_matrix(kernel)
+        first, second = kernel.matrix(), kernel.matrix()
+        assert first is not second and first.flags.writeable
+        first[0, 0] = -1.0
+        assert _shared_matrix(kernel)[0, 0] == kernel.at_zero
+
+    def test_replaced_kernel_gets_its_own_matrix(self):
+        # like relevant_split's W: the same spec and band, other values
+        k = covariance_cumulative(spec2(), 2)
+        shared = _shared_matrix(k)
+        cubed = dataclasses.replace(k, values=k.values ** 3)
+        assert cubed.spec == k.spec and cubed.band == k.band
+        assert _shared_matrix(cubed).tobytes() == cubed.matrix().tobytes()
+        assert _shared_matrix(cubed).tobytes() != shared.tobytes()
+        assert id(cubed) not in lattice_propagator._matrices
+        same = dataclasses.replace(k)  # equal arrays, another object
+        assert _shared_matrix(same) is not shared
+        assert id(same) not in lattice_propagator._matrices
+        assert _shared_matrix(k) is shared
+
+    def test_lattice_over_the_size_bound_is_not_retained(self):
+        kernel = covariance_cumulative(LatticeSpec(d=2, L=1.0, m=1.0, gamma=33.0, N=1), 1)
+        assert kernel.spec.n_sites == 1089 > _MEMO_SITES
+        first = _shared_matrix(kernel)
+        assert not first.flags.writeable
+        assert _shared_matrix(kernel) is not first
+        assert id(kernel) not in lattice_propagator._matrices
+
+    @pytest.mark.parametrize("bound, room", [("_MEMO_BYTES", 3 * 64 ** 2 * 8),
+                                             ("_MEMO_ENTRIES", 3)])
+    def test_least_recently_used_dropped_past_a_bound(self, monkeypatch, bound, room):
+        kernels = [scale_range_kernel(spec2(N=3), lo, 3) for lo in range(4)]  # 64 sites
+        monkeypatch.setattr(lattice_propagator, bound, room)
+        monkeypatch.setattr(lattice_propagator, "_matrices", {})
+        shared = [_shared_matrix(k) for k in kernels[:3]]
+        assert _shared_matrix(kernels[0]) is shared[0]  # now the most recent
+        _shared_matrix(kernels[3])
+        kept = [kernel for kernel, _ in lattice_propagator._matrices.values()]
+        assert kept == [kernels[2], kernels[0], kernels[3]]  # kernels[1] dropped
 
 
 class TestBoundReport:
