@@ -212,7 +212,7 @@ def graphs(dim, gamma, mass, box, cutoff, lam, order, out, fmt, check):
     series = logZ_series(spec, lam, None, order, cts=cts)
     _dump_json(out, "counterterms", {
         "mu_poly": cts.mu_poly.tolist(),
-        "nu_poly": cts.nu_poly.tolist() if cts.nu_poly is not None else None,
+        "nu_poly": cts.nu_poly.tolist(),
         "mu": cts.mu, "nu": cts.nu,
     })
     _dump_table(out, "series",
@@ -295,14 +295,10 @@ def stability(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, che
     out = Path(out)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     f = tuple(rng.uniform(-0.5, 0.5, spec.n_sites))
-    cfg = ExperimentConfig(spec=spec, lam=lam, f=f, j=order, seed=seed,
-                           n_samples=max(samples, 1000))
+    cfg = ExperimentConfig(spec=spec, lam=lam, f=f, j=order, seed=seed, n_samples=samples)
     params = {"lambda": lam, "order": order, "seed": seed, "method": cfg.method}
     if cfg.method == "MC":
-        params["samples"], params["samples_requested"] = cfg.n_samples, samples
-        if cfg.n_samples != samples:
-            click.echo(f"note: --samples {samples} raised to {cfg.n_samples}, "
-                       "the fewest the MC estimators use", err=True)
+        params["samples"] = cfg.n_samples
     else:
         params["quadrature_nodes"] = cfg.gh_nodes ** spec.n_sites
     _write_manifest(out, "stability", spec, params)

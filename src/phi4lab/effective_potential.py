@@ -197,10 +197,9 @@ def bare_potential(spec: LatticeSpec, f=None, cts: Counterterms | None = None,
     for order in (1, 2):
         if order < len(cts.mu_poly) and cts.mu_poly[order] != 0.0 and order <= jmax:
             V.add(order, (2,), np.full(n, -w * cts.mu_poly[order]))
-    if cts.nu_poly is not None:
-        for order, c in enumerate(cts.nu_poly):
-            if c != 0.0 and order <= jmax:
-                V.add(order, (), -w * n * c)
+    for order, c in enumerate(cts.nu_poly):
+        if c != 0.0 and order <= jmax:
+            V.add(order, (), -w * n * c)
     if f is not None:
         V.add(0, (1,), -w * spec.source(f))
     return V
@@ -216,7 +215,9 @@ def truncated_integrate(V: PotentialFunctional, j: int) -> PotentialFunctional:
     (``_joined_patterns``): each (factors, r, w) adds c * w * prod_a
     C(y_a, y_a)^t_a * prod_(a<b) C(y_a, y_b)^k_ab, summed over the positions
     of the vertices left without legs.  One copy is always joined; for
-    k >= 2 a copy without legs joins nothing.
+    k >= 2 a copy without legs joins nothing.  A self-pair reads C(0) from
+    the band kernel; its dense matrix is fetched once, at the first line
+    between two vertices, so a step over one-vertex blocks never builds it.
 
     Stopping at k = j keeps every term of lambda-order <= j only while each
     block has order >= 1.  A source block has order 0, so with a source the
@@ -226,7 +227,8 @@ def truncated_integrate(V: PotentialFunctional, j: int) -> PotentialFunctional:
     h = V.h
     if h < 1:
         raise ValueError("no layer left to integrate")
-    cov = _shared_matrix(covariance_band(V.spec, h))
+    band = covariance_band(V.spec, h)
+    diag, cov = np.full(V.spec.n_sites, band.at_zero), None
     out = PotentialFunctional(V.spec, h - 1)
     blocks = [(o, legs, c) for (o, legs), c in V.blocks.items()]
     for k in range(1, j + 1):
@@ -241,7 +243,9 @@ def truncated_integrate(V: PotentialFunctional, j: int) -> PotentialFunctional:
             for factors, r, w in patterns:
                 term = c * w
                 for axes, t in factors:
-                    line = cov if len(axes) == 2 else np.diagonal(cov)
+                    if len(axes) == 2 and cov is None:
+                        cov = _shared_matrix(band)
+                    line = cov if len(axes) == 2 else diag
                     term = term * _along(line ** t, axes, len(legs))
                 gone = tuple(a for a, x in enumerate(r) if x == 0)
                 out.add(sum(orders), tuple(x for x in r if x), np.sum(term, axis=gone))
@@ -267,12 +271,11 @@ def flow_constant(spec: LatticeSpec, lam: float, f, j: int,
 
 @dataclass
 class RelevantSplit:
-    """Local relevant block, d=3 nonlocal pair block, remainder and constant."""
+    """Local relevant block, d=3 nonlocal pair block, remainder and coefficients."""
 
     rel1: PotentialFunctional
     rel2: PotentialFunctional
     irr: PotentialFunctional
-    E_density: np.ndarray
     coefficients: dict
 
 
@@ -326,10 +329,7 @@ def relevant_split(V: PotentialFunctional, lam: float) -> RelevantSplit:
         "f_bar": total[1] / sig ** 3,
         "sigma": sig,
     }
-    vol = n * spec.a ** spec.d
-    E = V.constant_coefficients(max((o for o, _ in V.blocks), default=0)) / vol
-    return RelevantSplit(rel1=rel1, rel2=rel2, irr=irr, E_density=E,
-                         coefficients=coefficients)
+    return RelevantSplit(rel1=rel1, rel2=rel2, irr=irr, coefficients=coefficients)
 
 
 def field_independent_part(spec: LatticeSpec, j: int, h: int, lam: float,

@@ -25,10 +25,12 @@ Each (n, p, r) family's topology table and each topology's einsum plan per
 (lines, kinds, n_sites) are memoized, keyed on no kernel, source or coupling.
 A plan is numpy's optimize=True contraction path compiled into the pairwise
 matmul/multiply steps numpy would run for it, replayed with no per-call
-parsing; before the dense covariance is built, the counterterms and the
-series refuse a family whose steps pass MAX_TENSOR_ENTRIES.  The dense
-covariance itself comes from the read-only matrix memo of
-``lattice_propagator``, built once per kernel.
+parsing; the counterterms and the series refuse a family whose steps pass
+MAX_TENSOR_ENTRIES before they read the kernel.  A self-loop reads C(0) from
+``kernel.at_zero``; the dense covariance, which the kernel keeps
+(``lattice_propagator._shared_matrix``), is fetched once per sum and only
+when a plan has a line between two vertices, so the order-1 source-free
+sums never build it.
 """
 
 from __future__ import annotations
@@ -446,13 +448,15 @@ def _contraction_plan(lines: tuple, element_kinds: tuple, n_sites: int) -> tuple
     return tuple(roles), tuple(steps), free
 
 
-def _einsum_sum(lines, element_kinds, M, f, n_sites):
-    """Sum of prod-of-lines (and f factors) over all vertex position assignments."""
+def _einsum_sum(lines, element_kinds, M, c0, f, n_sites):
+    """Sum of prod-of-lines (and f factors) over all vertex position
+    assignments.  A line between two vertices reads the dense covariance M
+    (None when there is no such line), a self-loop the float c0 = C(0)."""
     roles, steps, free = _contraction_plan(tuple(lines), tuple(element_kinds), n_sites)
     if not roles:
         return float(n_sites ** free)
-    c0 = np.full(n_sites, M[0, 0]) if "c0" in roles else None
-    ops = [M if r == "M" else c0 if r == "c0" else f for r in roles]
+    loop = np.full(n_sites, c0) if "c0" in roles else None
+    ops = [M if r == "M" else loop if r == "c0" else f for r in roles]
     for s in steps:
         terms = [ops.pop(x) for x in s.positions]
         if len(terms) != 2:
@@ -494,7 +498,8 @@ def integrated_value(G: FeynmanGraph, kernel: PropagatorKernel, f,
     pref = (-1.0) ** (n + p + r) * lam ** n * mu ** p
     pref /= math.factorial(n) * math.factorial(p) * math.factorial(r)
     kinds = tuple(e.kind for e in G.elements)
-    S = _einsum_sum(G.lines(), kinds, _shared_matrix(kernel), f_arr, spec.n_sites)
+    M = _shared_matrix(kernel) if any(u != v for u, v in G.lines()) else None
+    S = _einsum_sum(G.lines(), kinds, M, kernel.at_zero, f_arr, spec.n_sites)
     return pref * S * spec.a ** (spec.d * len(G.elements))
 
 
@@ -518,27 +523,33 @@ def _poly_shift(a, k, jmax):
 
 
 @functools.lru_cache(maxsize=256)
-def _family_peak(n: int, p: int, r: int, n_sites: int) -> int:
-    """Entries of the largest result a contraction step makes over the
-    topologies of the connected (n, p, r) family."""
-    return max((s.entries for raw, kinds, _ in _topology_table(n, p, r)
-                for s in _contraction_plan(raw, kinds, n_sites)[1]), default=0)
+def _family_reach(n: int, p: int, r: int, n_sites: int) -> tuple:
+    """(entries of the largest result a contraction step makes, whether a
+    plan has a line between two vertices) over the topologies of the
+    connected (n, p, r) family."""
+    plans = [_contraction_plan(raw, kinds, n_sites) for raw, kinds, _ in _topology_table(n, p, r)]
+    return (max((s.entries for _, steps, _ in plans for s in steps), default=0),
+            any("M" in roles for roles, _, _ in plans))
 
 
-def _require_plans(families, n_sites: int):
+def _require_plans(families, n_sites: int) -> bool:
     """Refuse a sum over the (n, p, r) families before the dense matrix is
-    built when a step of their plans would make over MAX_TENSOR_ENTRIES."""
+    built when a step of their plans would make over MAX_TENSOR_ENTRIES;
+    else say whether any of their plans reads the dense matrix."""
+    lines = False
     for n, p, r in families:
-        peak = _family_peak(n, p, r, n_sites)
+        peak, has_line = _family_reach(n, p, r, n_sites)
         if peak > MAX_TENSOR_ENTRIES:
             raise InfeasibleSizeError(f"the ({n},{p},{r}) graphs on {n_sites} sites contract "
                                       f"through {peak} entries, over MAX_TENSOR_ENTRIES = "
                                       f"{MAX_TENSOR_ENTRIES}")
+        lines = lines or has_line
+    return lines
 
 
-def _family_poly(n, p, r, spec, M, f_arr, mu_poly, jmax):
+def _family_poly(n, p, r, spec, M, c0, f_arr, mu_poly, jmax):
     """Sum over connected (n,p,r) matchings of integrated values, as a lambda
-    poly; M is the dense covariance matrix, built once per series."""
+    poly; M is the dense covariance (None if no plan has a line), c0 = C(0)."""
     table = _topology_table(n, p, r)
     if not table:
         return None
@@ -554,7 +565,7 @@ def _family_poly(n, p, r, spec, M, f_arr, mu_poly, jmax):
     weight = spec.a ** (spec.d * (n + p + r))
     S = 0.0
     for raw_lines, kinds, count in table:
-        S += count * _einsum_sum(raw_lines, kinds, M, f_arr, spec.n_sites)
+        S += count * _einsum_sum(raw_lines, kinds, M, c0, f_arr, spec.n_sites)
     return base * (S * weight)
 
 
@@ -567,9 +578,8 @@ class Counterterms:
     lam: float
     mu: float
     nu: float
-    delta_mu: float
-    mu_poly: np.ndarray = field(repr=False, default=None)
-    nu_poly: np.ndarray = field(repr=False, default=None)
+    mu_poly: np.ndarray = field(repr=False)
+    nu_poly: np.ndarray = field(repr=False)
 
 
 def mu_polynomial(spec: LatticeSpec, kernel: PropagatorKernel | None = None) -> np.ndarray:
@@ -599,19 +609,18 @@ def vacuum_density_poly(spec: LatticeSpec, kernel: PropagatorKernel,
     total = np.zeros(order + 1)
     vol = spec.n_sites * spec.a ** spec.d
     families = [(n, p, 0) for n in range(order + 1) for p in range(order + 1 - n) if n + p]
-    _require_plans(families, spec.n_sites)
-    M = _shared_matrix(kernel)
-    zeros = np.zeros(spec.n_sites)
+    M = _shared_matrix(kernel) if _require_plans(families, spec.n_sites) else None
+    c0, zeros = kernel.at_zero, np.zeros(spec.n_sites)
     for n, p, r in families:
-        part = _family_poly(n, p, r, spec, M, zeros, mu_poly, order)
+        part = _family_poly(n, p, r, spec, M, c0, zeros, mu_poly, order)
         if part is not None:
             total += part
     return total / vol
 
 
-def counterterms(spec: LatticeSpec, lam: float, nu_order: int | None = None,
-                 kernel: PropagatorKernel | None = None) -> Counterterms:
-    """Counterterms mu_N, nu_N for coupling lam on the given lattice.
+def counterterms(spec: LatticeSpec, lam: float, nu_order: int | None = None) -> Counterterms:
+    """Counterterms mu_N, nu_N for coupling lam on the given lattice, from the
+    cutoff covariance C^(<=N).
 
     nu is computed by the executable cancellation criterion (vacuum graphs
     cancel in the log Z series) through ``nu_order`` in lambda; pass
@@ -623,17 +632,15 @@ def counterterms(spec: LatticeSpec, lam: float, nu_order: int | None = None,
     if nu_order is None:
         nu_order = 3 if spec.d == 3 else 2
     _check_order(nu_order)
-    kernel = covariance_cumulative(spec, spec.N) if kernel is None else kernel
+    kernel = covariance_cumulative(spec, spec.N)
     mp = mu_polynomial(spec, kernel)
     mu = float(np.polyval(mp[::-1], lam))
-    delta_mu = float(mp[2] * lam ** 2)
     if nu_order == 0:
         npoly = np.zeros(1)
     else:
         npoly = vacuum_density_poly(spec, kernel, mp, nu_order)
     nu = float(np.polyval(npoly[::-1], lam))
-    return Counterterms(lam=lam, mu=mu, nu=nu, delta_mu=delta_mu,
-                        mu_poly=mp, nu_poly=npoly)
+    return Counterterms(lam=lam, mu=mu, nu=nu, mu_poly=mp, nu_poly=npoly)
 
 
 # --- renormalized chain ------------------------------------------------------
@@ -749,14 +756,13 @@ def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
     legs = range(0, 5, 2) if np.any(f_arr) else (0,)
     families = [(n, p, r) for n in range(j + 1) for p in range(j + 1 - n) for r in legs
                 if n + p + r]
-    _require_plans(families, spec.n_sites)
-    M = _shared_matrix(kernel)
+    M = _shared_matrix(kernel) if _require_plans(families, spec.n_sites) else None
+    c0 = kernel.at_zero
     for n, p, r in families:
-        part = _family_poly(n, p, r, spec, M, f_arr, cts.mu_poly, j)
+        part = _family_poly(n, p, r, spec, M, c0, f_arr, cts.mu_poly, j)
         if part is not None:
             coeffs += part / vol
     # constant counterterm: V carries -nu per unit volume
-    npoly = cts.nu_poly if cts.nu_poly is not None else np.zeros(1)
-    for k in range(min(len(npoly), j + 1)):
-        coeffs[k] -= npoly[k]
+    for k in range(min(len(cts.nu_poly), j + 1)):
+        coeffs[k] -= cts.nu_poly[k]
     return SeriesResult(spec=spec, j=j, coefficients=coeffs)

@@ -23,9 +23,9 @@ The cumulative covariance C^(<=h) is the range (0, h], the band C^(h) is
 
 ``scale_range_kernel`` is memoized per (spec, lo, hi) in one bounded LRU
 cache, so each kernel is built once per process; its arrays are read-only.
-The engines read a kernel's dense matrix through ``_shared_matrix``, a second
-memo that keeps the read-only matrices of those kernels up to 1024 sites
-(8 MiB each), 64 MiB in total.
+The engines read C(0) from ``at_zero`` and the dense matrix, only for a line
+between two vertices, through ``_shared_matrix``: a kernel of up to 1024
+sites keeps its read-only matrix (8 MiB at most) for as long as it lives.
 """
 
 from __future__ import annotations
@@ -235,35 +235,23 @@ def scale_range_kernel(spec: LatticeSpec, lo: int, hi: int) -> PropagatorKernel:
     return kernel
 
 
-_MEMO_SITES = 1024  # a memoized matrix holds at most 8 MiB
-_MEMO_BYTES = 64 * 2 ** 20
-_MEMO_ENTRIES = 32  # as many kernels as scale_range_kernel keeps
-_matrices = {}  # id(kernel) -> (kernel, read-only matrix), least recently used first
+_MEMO_SITES = 1024  # a kept matrix holds at most 8 MiB
 
 
 def _shared_matrix(kernel: PropagatorKernel) -> np.ndarray:
-    """Read-only dense matrix of ``kernel``, built once per memoized kernel.
+    """Read-only dense matrix of ``kernel``, built once per kernel instance.
 
-    Only a kernel that scale_range_kernel returned, on at most _MEMO_SITES
-    sites, is memoized, under its identity: a kernel made by hand or by
-    dataclasses.replace with the same spec and band gets its own matrix.  An
-    entry holds its kernel, so no other object takes its id while it lives.
-    The memo drops its least recently used entries past _MEMO_ENTRIES or
-    past _MEMO_BYTES in total.
+    A kernel on at most _MEMO_SITES sites keeps its matrix as an attribute,
+    so the matrix lives exactly as long as its kernel; a kernel made by
+    dataclasses.replace is a new instance and builds its own.  The 32
+    kernels scale_range_kernel keeps hold at most 256 MiB of matrices.
     """
-    hit = _matrices.pop(id(kernel), None)
-    if hit is not None:
-        _matrices[id(kernel)] = hit
-        return hit[1]
-    matrix = kernel.matrix()
-    matrix.flags.writeable = False
-    lo, hi = kernel.band
-    if (kernel.spec.n_sites <= _MEMO_SITES and 0 <= lo <= hi <= kernel.spec.N
-            and scale_range_kernel(kernel.spec, lo, hi) is kernel):
-        _matrices[id(kernel)] = kernel, matrix
-        while (len(_matrices) > _MEMO_ENTRIES
-               or sum(m.nbytes for _, m in _matrices.values()) > _MEMO_BYTES):
-            del _matrices[next(iter(_matrices))]
+    matrix = vars(kernel).get("_matrix")
+    if matrix is None:
+        matrix = kernel.matrix()
+        matrix.flags.writeable = False
+        if kernel.spec.n_sites <= _MEMO_SITES:
+            object.__setattr__(kernel, "_matrix", matrix)
     return matrix
 
 

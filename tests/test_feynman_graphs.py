@@ -11,6 +11,7 @@ from phi4lab import (
     difference_kernel,
     enumerate_connected,
     counterterms,
+    flow_constant,
     wick_oracle,
     logZ_series,
     renormalized_chain_value,
@@ -30,7 +31,7 @@ from phi4lab.feynman_graphs import (
     mu_polynomial,
     vacuum_density_poly,
 )
-from phi4lab.lattice_propagator import InfeasibleSizeError
+from phi4lab.lattice_propagator import MAX_MATRIX_SITES, InfeasibleSizeError, PropagatorKernel
 
 
 SPEC = LatticeSpec(d=2, L=1.0, m=1.0, gamma=math.sqrt(2), N=2)
@@ -388,12 +389,13 @@ def _sums_an_index(step):
 class TestContractionPlans:
     @pytest.mark.parametrize("spec", PLAN_SPECS, ids=_plan_id)
     def test_plans_match_per_call_einsum(self, spec):
-        M = covariance_cumulative(spec, spec.N).matrix()
+        kernel = covariance_cumulative(spec, spec.N)
+        M, c0 = kernel.matrix(), kernel.at_zero
         f = np.random.default_rng(2).uniform(-0.5, 0.5, spec.n_sites)
         checked = 0
         for n, p, r in PLAN_FAMILIES:
             for raw, kinds, _ in _topology_table(n, p, r):
-                got = _einsum_sum(raw, kinds, M, f, spec.n_sites)
+                got = _einsum_sum(raw, kinds, M, c0, f, spec.n_sites)
                 want = _oracle_einsum_sum(raw, kinds, M, f, spec.n_sites)
                 assert got.hex() == want.hex(), (n, p, r, raw)
                 checked += 1
@@ -402,7 +404,7 @@ class TestContractionPlans:
             # integrated_value passes a representative's unsorted lines
             for g, _, _ in aggregate_topologies(enumerate_connected(n, p, r)):
                 kinds = tuple(e.kind for e in g.elements)
-                assert _einsum_sum(g.lines(), kinds, M, f, spec.n_sites).hex() \
+                assert _einsum_sum(g.lines(), kinds, M, c0, f, spec.n_sites).hex() \
                     == _oracle_einsum_sum(g.lines(), kinds, M, f, spec.n_sites).hex()
         assert checked == 66  # every topology of the families above, 19 of them at j <= 2
 
@@ -442,7 +444,7 @@ class TestContractionPlans:
 
     def test_line_free_graph_counts_positions(self):
         kinds = ("vacuum", "vacuum")
-        assert _einsum_sum((), kinds, M, None, SPEC.n_sites) == SPEC.n_sites ** 2
+        assert _einsum_sum((), kinds, None, None, None, SPEC.n_sites) == SPEC.n_sites ** 2
         assert _contraction_plan((), kinds, SPEC.n_sites) == ((), (), 2)
 
     def test_plan_key_holds_no_arrays(self):
@@ -471,6 +473,24 @@ class TestContractionPlans:
             counterterms(spec, 0.1, nu_order=2)
         with pytest.raises(InfeasibleSizeError, match="MAX_TENSOR_ENTRIES"):
             logZ_series(spec, 0.1, None, 2, cts=cts)
+
+    def test_order_one_builds_no_matrix_past_the_matrix_cap(self, monkeypatch):
+        # 32^3 sites: every source-free order-1 graph and recursion block
+        # has only self-loops, which read C(0), so no dense matrix is built
+        def no_matrix(kernel):
+            raise AssertionError("dense matrix built")
+        monkeypatch.setattr(PropagatorKernel, "matrix", no_matrix)
+        spec = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=5)
+        assert spec.n_sites == 32768 > MAX_MATRIX_SITES
+        cts = counterterms(spec, 0.05, nu_order=1)
+        c0 = covariance_cumulative(spec, spec.N).at_zero
+        assert cts.mu_poly[1] == -6.0 * c0
+        assert cts.nu_poly[1] == pytest.approx(3.0 * c0 ** 2)
+        series = logZ_series(spec, 0.05, None, 1, cts=cts).coefficients
+        flow = flow_constant(spec, 0.05, None, 1, cts=cts)
+        scale = np.max(np.abs(cts.nu_poly))
+        assert np.max(np.abs(series)) <= 1e-12 * scale  # the vacuum graphs cancel
+        assert np.max(np.abs(flow - series)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("spec", PLAN_SPECS, ids=_plan_id)
     def test_cold_equals_warm(self, spec):

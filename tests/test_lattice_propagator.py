@@ -14,7 +14,6 @@ from phi4lab import (
     regulator_chi,
     bound_report,
 )
-from phi4lab import lattice_propagator
 from phi4lab.lattice_propagator import (
     _MEMO_SITES,
     InfeasibleSizeError,
@@ -255,7 +254,7 @@ class TestMatrixMemo:
             with pytest.raises(ValueError):
                 shared[0, 0] = 1.0
             assert _shared_matrix(kernel) is shared
-            assert id(kernel) in lattice_propagator._matrices
+            assert shared[0, 0] == kernel.at_zero
 
     def test_matrix_stays_fresh_and_writeable(self):
         kernel = covariance_cumulative(spec2(), 2)
@@ -273,10 +272,9 @@ class TestMatrixMemo:
         assert cubed.spec == k.spec and cubed.band == k.band
         assert _shared_matrix(cubed).tobytes() == cubed.matrix().tobytes()
         assert _shared_matrix(cubed).tobytes() != shared.tobytes()
-        assert id(cubed) not in lattice_propagator._matrices
         same = dataclasses.replace(k)  # equal arrays, another object
         assert _shared_matrix(same) is not shared
-        assert id(same) not in lattice_propagator._matrices
+        assert _shared_matrix(same) is _shared_matrix(same)
         assert _shared_matrix(k) is shared
 
     def test_lattice_over_the_size_bound_is_not_retained(self):
@@ -284,20 +282,8 @@ class TestMatrixMemo:
         assert kernel.spec.n_sites == 1089 > _MEMO_SITES
         first = _shared_matrix(kernel)
         assert not first.flags.writeable
+        assert first.tobytes() == kernel.matrix().tobytes()
         assert _shared_matrix(kernel) is not first
-        assert id(kernel) not in lattice_propagator._matrices
-
-    @pytest.mark.parametrize("bound, room", [("_MEMO_BYTES", 3 * 64 ** 2 * 8),
-                                             ("_MEMO_ENTRIES", 3)])
-    def test_least_recently_used_dropped_past_a_bound(self, monkeypatch, bound, room):
-        kernels = [scale_range_kernel(spec2(N=3), lo, 3) for lo in range(4)]  # 64 sites
-        monkeypatch.setattr(lattice_propagator, bound, room)
-        monkeypatch.setattr(lattice_propagator, "_matrices", {})
-        shared = [_shared_matrix(k) for k in kernels[:3]]
-        assert _shared_matrix(kernels[0]) is shared[0]  # now the most recent
-        _shared_matrix(kernels[3])
-        kept = [kernel for kernel, _ in lattice_propagator._matrices.values()]
-        assert kept == [kernels[2], kernels[0], kernels[3]]  # kernels[1] dropped
 
 
 class TestBoundReport:
