@@ -44,7 +44,7 @@ from .power_counting import divergence_scan, rho, scale_sum, TreeTopology
 from .effective_potential import (
     bare_potential,
     truncated_integrate,
-    relevant_split,
+    local_coefficients,
     field_independent_part,
     remainder_bound,
     require_flow,
@@ -265,12 +265,11 @@ def rgflow(dim, gamma, mass, box, cutoff, lam, order, out, check):
     dump = []
     B = field_threshold(lam_eff)
     for h in range(spec.N, 0, -1):
-        split = relevant_split(V, lam_eff)
         E = field_independent_part(spec, order, h, lam_eff, None, cts, per_order=True)
         dump.append({
             "scale": h,
             "terms": {f"{o},{k}": norm for (o, k), norm in V.kernel_norms().items()},
-            "relevant": split.coefficients,
+            "relevant": local_coefficients(V, lam_eff),
             "E_per_order": np.asarray(E).tolist(),
             "remainder": remainder_bound(order, h, lam_eff, B, spec.d,
                                          gamma=spec.gamma).value,

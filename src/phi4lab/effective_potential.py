@@ -53,6 +53,7 @@ __all__ = [
     "bare_potential",
     "truncated_integrate",
     "relevant_split",
+    "local_coefficients",
     "field_independent_part",
     "remainder_bound",
     "flow_constant",
@@ -285,27 +286,15 @@ def relevant_split(V: PotentialFunctional, lam: float) -> RelevantSplit:
     The local block takes the blocks of degree 0 and 1, the one-vertex blocks
     of degree 2 and 4 and the all-coincident entries of the multi-vertex ones
     (the dense kernels' diagonals); ``irr`` the other blocks, those entries
-    zeroed.  The local coefficients are reported in the normalized X-variables
-    at the potential's scale (the d=2 normalization of X is 1/sqrt(h)).  In
+    zeroed.  The coefficients are those of ``local_coefficients``.  In
     d=3 with h < N the canonical pair kernel 24 lambda^2 (C^(<=h)3 - C^(<=N)3)
     on (phi_eta - phi_eta')^2 is split off; in d=2 that block is identically
     empty.  A d=2 potential at h=0 is rejected with ValueError.
     """
     spec = V.spec
     h = V.h
-    if spec.d == 2 and h == 0:
-        raise ValueError("the X-variables are undefined at h = 0 in d = 2 (sigma = sqrt(h))")
-    n = spec.n_sites
-    rel1 = PotentialFunctional(spec, h)
     irr = PotentialFunctional(spec, h)
-    for (o, legs), c in V.blocks.items():
-        k = sum(legs)
-        if k in (2, 4) and len(legs) > 1:
-            coincident = (np.arange(n),) * len(legs)
-            rel1.add(o, (k,), c[coincident])
-            c = c.copy()
-            c[coincident] = 0.0
-        (rel1 if k < 2 or (k in (2, 4) and len(legs) == 1) else irr).add(o, legs, c)
+    rel1, coefficients = _local_split(V, lam, irr)
     rel2 = PotentialFunctional(spec, h)
     if spec.d == 3 and 1 <= h < spec.N:
         ch, cn = covariance_cumulative(spec, h), covariance_cumulative(spec, spec.N)
@@ -316,20 +305,51 @@ def relevant_split(V: PotentialFunctional, lam: float) -> RelevantSplit:
         for legs, c in (((2,), W.sum(axis=1) + W.sum(axis=0)), ((1, 1), -2.0 * W)):
             rel2.add(2, legs, c)
             irr.add(2, legs, -c)
+    return RelevantSplit(rel1=rel1, rel2=rel2, irr=irr, coefficients=coefficients)
+
+
+def local_coefficients(V: PotentialFunctional, lam: float) -> dict:
+    """The coefficients of ``relevant_split``, without its pair block or
+    remainder: the relevant local couplings in the normalized X-variables at
+    the potential's scale (the d=2 normalization of X is 1/sqrt(h))."""
+    return _local_split(V, lam)[1]
+
+
+def _local_split(V: PotentialFunctional, lam: float, irr: PotentialFunctional | None = None):
+    """The local block of ``relevant_split`` and its coefficients; the other
+    blocks, with their all-coincident entries zeroed, go into ``irr`` when it
+    is given."""
+    spec, h = V.spec, V.h
+    if spec.d == 2 and h == 0:
+        raise ValueError("the X-variables are undefined at h = 0 in d = 2 (sigma = sqrt(h))")
+    n = spec.n_sites
+    rel1 = PotentialFunctional(spec, h)
+    for (o, legs), c in V.blocks.items():
+        k = sum(legs)
+        if k < 2 or (k in (2, 4) and len(legs) == 1):
+            rel1.add(o, legs, c)
+            continue
+        if k in (2, 4):
+            coincident = (np.arange(n),) * len(legs)
+            rel1.add(o, (k,), c[coincident])
+        if irr is not None:
+            if k in (2, 4):
+                c = c.copy()
+                c[coincident] = 0.0
+            irr.add(o, legs, c)
     # coefficients in the rescaled variables
     sig = math.sqrt(h) if spec.d == 2 else spec.gamma ** ((spec.d - 2) * h / 2.0)
     w = spec.a ** spec.d
     total = dict.fromkeys((0, 1, 2, 4), 0.0)
     for (o, legs), c in rel1.blocks.items():
         total[sum(legs)] += lam ** o * (float(c[0]) / (-w) if legs else c / (-w * n))
-    coefficients = {
+    return rel1, {
         "lambda_eff": total[4],
         "mu_bar": total[2] / sig ** 2,
         "nu_bar": total[0] / sig ** 4,
         "f_bar": total[1] / sig ** 3,
         "sigma": sig,
     }
-    return RelevantSplit(rel1=rel1, rel2=rel2, irr=irr, coefficients=coefficients)
 
 
 def field_independent_part(spec: LatticeSpec, j: int, h: int, lam: float,

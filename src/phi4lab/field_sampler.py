@@ -5,7 +5,8 @@ is exactly the band kernel; summing the layers over h = 1..N reproduces a
 sample of the full regularized field.  Layers are sampled spectrally: white
 noise is filtered by the square root of the band's mode weights, which is an
 exact (not approximate) Gaussian sampler and is deterministic given
-(spec, h, seed).
+(spec, h, seed).  The weights are even in p, so the filter runs on the
+real-input half spectrum (rfftn/irfftn), which holds every independent mode.
 """
 
 from __future__ import annotations
@@ -80,20 +81,28 @@ def _band_fields(spec: LatticeSpec, h: int, seeds):
 
     Each seed gets its own noise stream, SeedSequence(seed, spawn_key=(h,)),
     filtered by the square root of the band weights over the lattice axes, so
-    a seed's field does not depend on the chunk it lands in.
+    a seed's field does not depend on the chunk it lands in.  The weights
+    depend on p^2 alone, so they are even in p and the filter keeps real
+    noise real: the rfftn half spectrum (the last axis cut to n//2 + 1 modes)
+    holds every independent mode, and irfftn with the lattice shape, odd
+    sides included, gives the real part of the full complex filter up to
+    rounding.
     """
-    root_w = np.sqrt(scale_range_kernel(spec, h - 1, h).mode_weights)
+    n = spec.n_side
+    root_w = np.sqrt(scale_range_kernel(spec, h - 1, h).mode_weights[..., :n // 2 + 1])
+    root_w *= spec.a ** (-spec.d / 2.0)
     axes = tuple(range(1, spec.d + 1))
     per_chunk = max(1, _CHUNK_SITES // spec.n_sites)
     seeds = list(seeds)
     for start in range(0, len(seeds), per_chunk):
-        spectrum = np.fft.fftn(np.stack([
+        chunk = seeds[start:start + per_chunk]
+        noise = np.empty((len(chunk),) + spec.shape)
+        for row, s in zip(noise, chunk):
             np.random.default_rng(np.random.SeedSequence(
-                entropy=int(s) & ((1 << 64) - 1), spawn_key=(h,))).standard_normal(spec.shape)
-            for s in seeds[start:start + per_chunk]]), axes=axes)
+                entropy=int(s) & ((1 << 64) - 1), spawn_key=(h,))).standard_normal(out=row)
+        spectrum = np.fft.rfftn(noise, axes=axes)
         spectrum *= root_w
-        filtered = np.fft.ifftn(spectrum, axes=axes, out=spectrum).real
-        yield filtered * spec.a ** (-spec.d / 2.0)
+        yield np.fft.irfftn(spectrum, s=spec.shape, axes=axes)
 
 
 def sample_layer(spec: LatticeSpec, h: int, seed: int) -> FieldLayer:
@@ -373,7 +382,10 @@ def classify_regions(fld: MultiscaleField, h: int, B: float,
     if spec.d == 3:
         # displacement outer, sites in C order inner: argwhere's row order
         for disps, y in fld._pair_fields(h):
-            hit = np.argwhere(np.abs(y, out=y) > B * h ** 4)
+            mask = np.abs(y, out=y) > B * h ** 4
+            if not mask.any():
+                continue
+            hit = np.argwhere(mask)
             if len(d2) + len(hit) > MAX_D2_PAIRS:
                 raise InfeasibleSizeError(f"D2 would pass MAX_D2_PAIRS = {MAX_D2_PAIRS}; raise B")
             eta = hit[:, 1:]

@@ -22,6 +22,7 @@ from phi4lab import (
 from phi4lab.lattice_propagator import InfeasibleSizeError
 from phi4lab.effective_potential import (
     PotentialFunctional,
+    local_coefficients,
     remainder_partial_sums,
     wick_quartic_potential,
 )
@@ -425,6 +426,8 @@ class TestDenseOracle:
             for name, value in want.coefficients.items():
                 bound = 1e-12 * max(abs(value), abs(size[name]))
                 assert abs(got.coefficients[name] - value) <= bound, (name, V.h)
+            # what rgflow reports, with no pair block built
+            assert local_coefficients(V, LAM) == got.coefficients
         assert (2, 2) in got.rel2.terms or spec.d == 2
 
 

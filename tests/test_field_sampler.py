@@ -172,23 +172,44 @@ class TestEngineAgainstOracle:
                 for i in range(1000)]
         assert np.array_equal(stats["maxima"], np.array(loop))
 
+    @pytest.mark.parametrize("chunk_sites", [None, 3 * 81], ids=["default", "partial_last_chunk"])
     @pytest.mark.parametrize("spec", [
         LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=3),
         LatticeSpec(d=2, L=4.0, m=1.0, gamma=1.5, N=2),
     ])
-    def test_batched_sampling_equals_single_draws(self, spec):
-        # one unbatched FFT per seed, the sampler written out
+    def test_batched_sampling_equals_single_draws(self, spec, chunk_sites, monkeypatch):
+        # one unbatched half-spectrum filter per seed, the sampler written out;
+        # 3 * 81 sites per chunk is three 9^2 samples (40 seeds end on a
+        # chunk of one) and one 8^3 sample
+        if chunk_sites is not None:
+            monkeypatch.setattr(field_sampler, "_CHUNK_SITES", chunk_sites)
         h, seeds = 2, range(40, 80)
-        root_w = np.sqrt(_range_weights(spec, h - 1, h))
+        n = spec.n_side
+        root_w = np.sqrt(_range_weights(spec, h - 1, h)[..., :n // 2 + 1]) * spec.a ** (-spec.d / 2.0)
         single = []
         for s in seeds:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(h,)))
             noise = rng.standard_normal(spec.shape)
-            single.append(np.fft.ifftn(root_w * np.fft.fftn(noise)).real
-                          * spec.a ** (-spec.d / 2.0))
+            single.append(np.fft.irfftn(root_w * np.fft.rfftn(noise), s=spec.shape,
+                                      axes=tuple(range(spec.d))))
         batch = np.concatenate(list(_band_fields(spec, h, seeds)))
         assert np.array_equal(batch, np.stack(single))
         assert np.array_equal(sample_layer(spec, h, 41).values, single[1])
+
+    @pytest.mark.parametrize("spec, h", [
+        (LatticeSpec(d=2, L=8.0, m=1.0, gamma=2.0, N=4), 2),  # 128^2
+        (LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=3), 3),  # 8^3
+        (LatticeSpec(d=2, L=4.0, m=1.0, gamma=1.5, N=2), 1),  # 9^2, odd side
+    ])
+    def test_half_spectrum_equals_full_complex_filter(self, spec, h):
+        # the real part of the full complex FFT filter of the same noise
+        seed = 7
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(h,)))
+        noise = rng.standard_normal(spec.shape)
+        root_w = np.sqrt(_range_weights(spec, h - 1, h))
+        full = np.fft.ifftn(root_w * np.fft.fftn(noise)).real * spec.a ** (-spec.d / 2.0)
+        values = sample_layer(spec, h, seed).values
+        assert np.max(np.abs(values - full)) <= 1e-14 * np.max(np.abs(full))
 
 
 def _brute_force_norm(layer, origin, side, eps=0.25):
@@ -234,6 +255,15 @@ def _rolled_pair_fields(fld, h, eps=0.25):
             yield delta, (p - shifted) / (spec.gamma ** h * r) ** eps
 
 
+def _rolled_pair_regions(fld, h, B):
+    """D2 from the rolled loop: (eta, eta + delta) where |Y^(h)| > B h^4,
+    displacements in C order outer, sites in C order inner."""
+    n = fld.spec.n_side
+    return [(eta, tuple((c + dc) % n for c, dc in zip(eta, delta)))
+            for delta, y in _rolled_pair_fields(fld, h)
+            for eta in np.ndindex(fld.spec.shape) if abs(y[eta]) > B * h ** 4]
+
+
 class TestBlockEngine:
     """Blocks of displacements give exactly the one-displacement-at-a-time
     results, whatever the block size."""
@@ -256,14 +286,25 @@ class TestBlockEngine:
     def test_pair_regions_equal_rolled_loop(self, block_budget):
         fld = make_field(CUBE8, seed=2)
         h, B = 2, 0.02
-        expected = []
-        for delta, y in _rolled_pair_fields(fld, h):
-            for eta in np.ndindex(CUBE8.shape):
-                if abs(y[eta]) > B * h ** 4:
-                    expected.append((eta, tuple((c + dc) % CUBE8.n_side
-                                                for c, dc in zip(eta, delta))))
+        expected = _rolled_pair_regions(fld, h, B)
         assert len(set(expected)) > 1000
         assert classify_regions(fld, h, B).D2 == expected
+
+    def test_pair_regions_only_in_some_blocks(self, block_budget):
+        # |Y| at -delta is |Y| at delta shifted, so the per-displacement
+        # maxima come in equal pairs; a threshold between the fourth and
+        # fifth largest leaves hits at four of the 511 displacements, and one
+        # above every |Y| leaves no pair at all
+        fld = make_field(CUBE8, seed=2)
+        h = 2
+        rolled = list(_rolled_pair_fields(fld, h))
+        tops = sorted((float(np.max(np.abs(y))) for _, y in rolled), reverse=True)
+        B = (tops[3] + tops[4]) / 2 / h ** 4
+        expected = _rolled_pair_regions(fld, h, B)
+        hit_disps = {tuple(np.subtract(etap, eta) % CUBE8.n_side) for eta, etap in expected}
+        assert len(hit_disps) == 4
+        assert classify_regions(fld, h, B).D2 == expected
+        assert classify_regions(fld, h, 1.01 * tops[0] / h ** 4).D2 == []
 
     def test_d3_tail_maxima_equal_per_sample_loop(self, block_budget):
         # with seven 8^3 lattices per block the last chunk holds two samples,
