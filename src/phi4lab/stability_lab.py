@@ -1,17 +1,14 @@
 """Desk-scale stability experiments on the interacting measure.
 
-Estimates log(Z(f)/Z(0)) with one ratio estimator over one of two node sets:
-the Gauss-Hermite tensor grid over the diagonalized covariance, the
-sampling-free ground truth, while its gh_nodes ** n_sites nodes are at most
-QUADRATURE_NODE_CAP = 32^4, else Monte Carlo draws with uniform weights,
-shared by numerator and denominator.  The measure is even under phi -> -phi,
-so the draws come as n_samples / 2 antithetic pairs {phi, -phi}, and the MC
-error is taken over the independent pairs.  The grid's weights and per-node
-sums of phi^2 and phi^4 depend on neither lambda nor f; they are built once
-per (spec, gh_nodes) and kept for the last four grids.  C_j calibration needs
-the grid and refuses one over the cap with InfeasibleSizeError (CLI exit 3).
-Compares the estimates with the truncated series inside a remainder envelope
-and measures the non-Gaussian fourth cumulant of the source-coupled field."""
+Estimates log(Z(f)/Z(0)) with one ratio estimator over mirror pairs
+{phi, -phi}, one even term each (the measure is even under phi -> -phi): the
+exact Gauss-Hermite grid over the diagonalized covariance while
+gh_nodes ** n_sites <= QUADRATURE_NODE_CAP = 32^4, half its nodes kept per
+(spec, gh_nodes), else n_samples / 2 Monte Carlo draws with a pair error.
+C_j calibration needs the grid and refuses one over the cap with
+InfeasibleSizeError (CLI exit 3).  Compares the estimates with the truncated
+series inside a remainder envelope and measures the non-Gaussian fourth
+cumulant of the source-coupled field."""
 
 from __future__ import annotations
 
@@ -21,7 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lattice_propagator import InfeasibleSizeError, LatticeSpec, covariance_cumulative
+from .lattice_propagator import (InfeasibleSizeError, LatticeSpec, MAX_TENSOR_ENTRIES,
+                                 covariance_cumulative)
 from .feynman_graphs import Counterterms, counterterms, logZ_series
 from .effective_potential import remainder_bound
 from .field_sampler import field_threshold
@@ -114,7 +112,7 @@ def _mode_basis(spec: LatticeSpec):
     """The mode basis A, phi = A y for y ~ N(0, I): the eigenvectors of the
     dense covariance C^(<=N) scaled by the square roots of its eigenvalues.
     Read-only and kept for the last four specs; an entry holds n_sites^2
-    floats, 512 KiB on 256 sites and 2 GiB at MAX_MATRIX_SITES."""
+    floats: 512 KiB on 256 sites, at most 400 MB (MAX_TENSOR_ENTRIES, see _nodes)."""
     M = covariance_cumulative(spec, spec.N).matrix()
     evals, evecs = np.linalg.eigh(M)
     evals = np.clip(evals, 0.0, None)
@@ -123,64 +121,68 @@ def _mode_basis(spec: LatticeSpec):
     return A
 
 
+def _half_outer(ufunc, factors) -> np.ndarray:
+    """ufunc.outer of one 1-D factor per mode, raveled row-major, cut to the kept half."""
+    g = len(factors[0])
+    outer = functools.reduce(ufunc.outer, [factors[0][:(g + 1) // 2], *factors[1:]])
+    return outer.ravel()[:(g ** len(factors) + 1) // 2]
+
+
 @functools.lru_cache(maxsize=4)
 def _node_grid(spec: LatticeSpec, gh_nodes: int):
-    """The lambda- and f-independent part of the quadrature on the tensor grid
-    of gh_nodes ** n_sites nodes y (row-major over the modes), phi = A y:
-    (weights, s2, s4, x, A) with per-node vectors weights, s2 = sum_x phi_x^2
-    and s4 = sum_x phi_x^4, the 1-D nodes x and the mode basis A.  phi exists,
-    site-major (sites, nodes), only while the sums are taken.  The arrays are
-    read-only.  At QUADRATURE_NODE_CAP nodes an entry holds 24 MiB, so the
-    cache at most 96 MiB; a build needs 64 MiB more while it runs.  A grid
-    over the cap raises InfeasibleSizeError before any array is built."""
+    """The lambda- and f-independent quadrature on the mirror pairs of the
+    gh_nodes ** n_sites tensor grid y (row-major over the modes), phi = A y:
+    node k's mirror -y is node gh_nodes ** n_sites - 1 - k, so the first half
+    (rounded up) is kept with doubled weights, but for an odd rule's centre.
+    Read-only (weights, s2, s4, x, A): per pair s2 = sum_x phi_x^2 and s4 =
+    sum_x phi_x^4; the 1-D nodes x; the basis A.  12 MiB at the cap, a cache of
+    at most 48 MiB; over the cap InfeasibleSizeError, before any array."""
     if not quadrature_feasible(spec, gh_nodes):
         raise InfeasibleSizeError(
             f"{gh_nodes}^{spec.n_sites} quadrature nodes exceed the cap of "
             f"{QUADRATURE_NODE_CAP}")
-    n = spec.n_sites
     x, w = _gauss_hermite(gh_nodes)
     A = _mode_basis(spec)
-    weights = functools.reduce(np.multiply.outer, [w] * n).ravel()
-    y = np.array(np.meshgrid(*([x] * n), indexing="ij", copy=False)).reshape(n, -1)
-    phi = A @ y  # site-major (sites, nodes)
-    s2 = np.square(phi, out=y).sum(axis=0)
-    s4 = np.power(phi, 4.0, out=phi).sum(axis=0)  # phi**4 to the last bit
+    weights = 2 * _half_outer(np.multiply, [w] * spec.n_sites)
+    weights[gh_nodes ** spec.n_sites // 2:] /= 2  # an odd rule's centre y = 0, if any
+    s2 = s4 = 0.0
+    for row in A:  # phi_x = sum_k A_xk y_k, one site at a time
+        phi2 = np.square(_half_outer(np.add, [a * x for a in row]))
+        s2, s4 = s2 + phi2, s4 + np.square(phi2)
     for arr in (weights, s2, s4, x):
         arr.setflags(write=False)
     return weights, s2, s4, x, A
 
 
 def _nodes(cfg: ExperimentConfig):
-    """(weights, s2, s4, lin) per node, the field points the log-ratio sums
-    over: the Gauss-Hermite grid of _node_grid while quadrature_feasible,
-    else cfg.n_samples draws with uniform weights, P = n_samples / 2 fields
-    phi = A y followed by their mirrors -phi (node k pairs with k + P).
-    s2 = sum_x phi_x^2, s4 = sum_x phi_x^4 and lin = sum_x f_x phi_x."""
+    """(weights, s2, s4, lin) per mirror pair {phi, -phi}: s2 = sum_x phi_x^2 and
+    s4 = sum_x phi_x^4 of both, lin = sum_x f_x phi_x of phi (-lin of -phi).
+    The pairs of _node_grid while quadrature_feasible, else P = n_samples / 2
+    draws phi = A y weighted 2 / n_samples, refused (InfeasibleSizeError) before
+    any array if the basis (n_sites^2) or block (n_sites P) passes MAX_TENSOR_ENTRIES."""
     if cfg.method == "exact-quadrature":
         weights, s2, s4, x, A = _node_grid(cfg.spec, cfg.gh_nodes)
-        # f . phi = sum_k (A^T f)_k y_k, an outer sum over the modes
-        lin = functools.reduce(np.add.outer, [c * x for c in A.T @ cfg.f_array]).ravel()
-        return weights, s2, s4, lin
+        return weights, s2, s4, _half_outer(np.add, [c * x for c in A.T @ cfg.f_array])
+    n, P = cfg.spec.n_sites, cfg.n_samples // 2
+    if n * max(n, P) > MAX_TENSOR_ENTRIES:
+        raise InfeasibleSizeError(f"MC on {n} sites, {P} pairs: entries over MAX_TENSOR_ENTRIES")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
-    y = rng.standard_normal((cfg.n_samples // 2, cfg.spec.n_sites))
-    phi = _mode_basis(cfg.spec) @ y.T  # site-major (sites, pairs)
+    phi = _mode_basis(cfg.spec) @ rng.standard_normal((P, n)).T  # site-major (sites, pairs)
     lin = cfg.f_array @ phi
     s2 = np.square(phi, out=phi).sum(axis=0)
     s4 = np.square(phi, out=phi).sum(axis=0)  # per call: a square is far cheaper than pow
-    # -phi has the same even sums and the opposite source term
-    return (np.full(cfg.n_samples, 1.0 / cfg.n_samples), np.tile(s2, 2), np.tile(s4, 2),
-            np.concatenate((lin, -lin)))
+    return np.full(P, 2 / cfg.n_samples), s2, s4, lin
 
 
 def _log_ratio_terms(cfg: ExperimentConfig, cts: Counterterms, t_values) -> dict:
-    """{t: (log Z(t f) - log Z(0), q)} over the nodes of _nodes.
+    """{t: (log Z(t f) - log Z(0), q)} over the mirror pairs of _nodes.
 
-    With p the node weights times exp(-a^d sum_x (lambda phi^4 + mu phi^2 +
-    nu)), normalized, and e = expm1(-a^d t lin), the value is log1p(m),
-    m = p . e: a small log-ratio does not inherit the rounding of log Z(0),
-    as a difference of two log-sums would.  q holds one entry per antithetic
-    pair, the delta-method influences p_k (e_k - m) / (1 + m) of its two
-    nodes summed; it is empty on the grid, which has no sampling error.
+    With p the pair weights times exp(-a^d sum_x (lambda phi^4 + mu phi^2 +
+    nu)), normalized, a pair's term is its members' mean of expm1(-/+ a^d t
+    lin), E = 2 sinh^2(a^d t lin / 2) >= 0, and the value is log1p(m), m =
+    sum p E: no sum cancels, nor carries log Z(0)'s rounding as a difference
+    of two log-sums would.  q holds the delta-method influences
+    p_k (E_k - m) / (1 + m) of the independent MC pairs; empty on the grid.
     """
     spec = cfg.spec
     weights, s2, s4, lin = _nodes(cfg)
@@ -188,13 +190,11 @@ def _log_ratio_terms(cfg: ExperimentConfig, cts: Counterterms, t_values) -> dict
     logs0 = -w * (cfg.lam * s4 + cts.mu * s2 + cts.nu * spec.n_sites)
     p = weights * np.exp(logs0 - logs0.max())
     p /= p.sum()
-    pairs = len(p) // 2 if cfg.method == "MC" else 0
     out = {}
     for t in t_values:
-        e = np.expm1(-w * t * lin)
-        m = float(p @ e)
-        influence = p[:2 * pairs] * (e[:2 * pairs] - m) / (1 + m)  # empty on the grid
-        out[t] = (math.log1p(m), influence[:pairs] + influence[pairs:])
+        E = 2 * np.square(np.sinh((w * t / 2) * lin))
+        m = float(np.sum(p * E))
+        out[t] = (math.log1p(m), p * (E - m) / (1 + m) if cfg.method == "MC" else p[:0])
     return out
 
 
@@ -202,7 +202,7 @@ def _pair_error(q: np.ndarray) -> float:
     """Standard error sqrt(P/(P-1) sum q^2) of a sum of influences q over P
     independent pairs; 0 when there are none (the grid)."""
     P = len(q)
-    return math.sqrt(P / (P - 1) * float(q @ q)) if P else 0.0
+    return math.sqrt(P / (P - 1) * float(np.sum(np.square(q)))) if P else 0.0
 
 
 def _log_ratios(cfg: ExperimentConfig, cts: Counterterms, t_values=(1.0,)) -> dict:
@@ -346,11 +346,11 @@ def _smeared_source(spec: LatticeSpec, f: np.ndarray) -> np.ndarray:
 def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5) -> dict:
     """Fourth cumulant of the source coupling via a 5-point stencil.
 
-    Differentiates g(t) = log(Z(t f)/Z(0)) four times at t=0 and compares with
-    the order-lambda prediction  -4! lambda a^d sum_z ((C * f)_z)^4.
-    ``kappa4_error`` is the pair error of the stencil on MC draws, the
-    per-pair influences of the four g(t) weighted by the stencil
-    coefficients; 0 on the grid.
+    Differentiates g(t) = log(Z(t f)/Z(0)) four times at t=0, from g(delta)
+    and g(2 delta) alone as g is even and g(0) = 0, and compares with the
+    order-lambda prediction  -4! lambda a^d sum_z ((C * f)_z)^4.
+    ``kappa4_error`` is the stencil's pair error on MC draws (the per-pair
+    influences of the two g(t), weighted); 0 on the grid.
     """
     if delta <= 1e-6:
         raise ValueError("stencil step too small")
@@ -358,7 +358,7 @@ def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5) -> dict:
         raise ValueError("stencil step must keep |t f| <= 1")
     spec = cfg.spec
     cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
-    stencil = {-2 * delta: 1, -delta: -4, delta: -4, 2 * delta: 1}
+    stencil = {delta: -8, 2 * delta: 2}
     terms = _log_ratio_terms(cfg, cts, stencil)
     kappa4 = sum(c * terms[t][0] for t, c in stencil.items()) / delta ** 4
     kappa4_error = _pair_error(sum(c * terms[t][1] for t, c in stencil.items())) / delta ** 4

@@ -222,6 +222,7 @@ BOUNDARY = [
     (["graphs", "--dim", "2", "--cutoff", "7", "--order", "3"], 3),
     (["rgflow", "--order", "4"], 3),
     (["stability", "--dim", "3", "--cutoff", "1"], 3),  # a 32^8-node calibration grid
+    (["stability", "--cutoff", "7"], 3),  # MC on 16384 sites: a 16384^2 mode basis
     (["propagator", "--cutoff", "1"], 2),  # too few displacement classes to fit
     (["propagator", "--box", "0.7"], 2),
     (["graphs", "--dim", "3", "--cutoff", "4"], 0),

@@ -1,10 +1,15 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phi4lab
 from phi4lab import (
     LatticeSpec,
     covariance_cumulative,
@@ -17,7 +22,9 @@ from phi4lab.feynman_graphs import counterterms
 from phi4lab.stability_lab import (
     InfeasibleSizeError,
     QUADRATURE_NODE_CAP,
+    MAX_TENSOR_ENTRIES,
     _gauss_hermite,
+    _log_ratio_terms,
     _log_ratios,
     _mode_basis,
     _node_grid,
@@ -126,19 +133,22 @@ class TestEstimators:
     @pytest.mark.parametrize("spec", [LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2),
                                       LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)])
     def test_mc_matches_ratio_of_means(self, spec):
-        # reference: log of a ratio of sample means, with the np.cov
-        # delta-method error bar over the P independent pair means, over the
-        # same draws.  Mirroring cancels most of the pair means' spread, so
-        # the three covariance terms nearly cancel (1e-2 each against a sum
-        # of 1e-8 on 64 sites): they are taken in extended precision.
+        # reference: log of a ratio of sample means over both mirrors of every
+        # pair (lin and -lin), with the np.cov delta-method error bar over the
+        # P independent pair means, over the same draws.  Mirroring cancels
+        # most of the pair means' spread, so the three covariance terms nearly
+        # cancel (1e-2 each against a sum of 1e-8 on 64 sites): they are taken
+        # in extended precision.
         f = tuple(np.random.default_rng(3).uniform(-0.5, 0.5, spec.n_sites))
         cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, seed=7, n_samples=20_000)
         assert cfg.method == "MC"
         cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
         _, s2, s4, lin = _nodes(cfg)
-        w = spec.a ** spec.d
-        even = cfg.lam * s4 + cts.mu * s2 + cts.nu * spec.n_sites
         P = cfg.n_samples // 2
+        assert len(lin) == P
+        w = spec.a ** spec.d
+        even = np.tile(cfg.lam * s4 + cts.mu * s2 + cts.nu * spec.n_sites, 2)
+        lin = np.concatenate((lin, -lin))
         for t, (value, error) in _log_ratios(cfg, cts, (-1.0, 0.5, 1.0)).items():
             v1, v0 = -w * (even + t * lin), -w * even
             shift = max(v1.max(), v0.max())
@@ -202,12 +212,24 @@ def cli_source(spec):
 
 class TestAntitheticPairs:
     def test_nodes_are_mirrored_bitwise(self):
+        # one entry per pair {phi, -phi}, weighted 2 / n_samples; the pair's
+        # term is even in lin, so t and -t give the same bits
         cfg = ExperimentConfig(spec=SIXTEEN, lam=0.05, f=cli_source(SIXTEEN), seed=4,
                                n_samples=1000)
         weights, s2, s4, lin = _nodes(cfg)
-        assert len(weights) == len(lin) == 1000 and np.all(weights == 1 / 1000)
-        assert np.array_equal(s2[:500], s2[500:]) and np.array_equal(s4[:500], s4[500:])
-        assert np.array_equal(lin[500:], -lin[:500])
+        assert len(weights) == len(s2) == len(s4) == len(lin) == 500
+        assert np.all(weights == 2 / 1000)
+        terms = _log_ratio_terms(cfg, counterterms(SIXTEEN, cfg.lam, nu_order=cfg.j),
+                                 (-0.5, 0.5))
+        assert terms[-0.5][0] == terms[0.5][0]
+        assert np.array_equal(terms[-0.5][1], terms[0.5][1]) and len(terms[0.5][1]) == 500
+
+    def test_draw_block_over_the_entry_cap_is_refused(self):
+        # 16 sites x 3.2e6 pairs pass MAX_TENSOR_ENTRIES: refused before drawing
+        cfg = ExperimentConfig(spec=SIXTEEN, lam=0.05, n_samples=6_400_000)
+        assert SIXTEEN.n_sites * cfg.n_samples // 2 > MAX_TENSOR_ENTRIES
+        with pytest.raises(InfeasibleSizeError, match="MAX_TENSOR_ENTRIES"):
+            _nodes(cfg)
 
     def test_log_ratio_is_even_in_the_source(self):
         cfg = ExperimentConfig(spec=SIXTEEN, lam=0.05, f=cli_source(SIXTEEN), seed=4,
@@ -261,35 +283,42 @@ class TestAntitheticPairs:
             A[0, 0] = 0.0
 
 
-def oracle_log_ratio(cfg, cts, t_values):
-    """log Z(t f) - log Z(0) on the node-major grid: phi = y A^T with one row
-    per node, the interaction summed over the trailing site axis.  The two
-    log-sums are taken in extended precision: in float64 their difference
-    carries the rounding of log Z (1.1e-11 relative on REF at gh 16, t = 0.3)."""
-    spec = cfg.spec
+def full_grid(spec, gh):
+    """(weights, phi) over every node of the gh ** n_sites tensor grid, mirrors
+    included, in extended precision: phi = y A^T with one row per node."""
+    ld = np.longdouble
     n = spec.n_sites
-    x, w = _gauss_hermite(cfg.gh_nodes)
-    y = np.stack(np.meshgrid(*([x] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    weights = functools.reduce(np.multiply.outer, [w] * n).ravel()
-    phi = y @ _mode_basis(spec).T
-    even = (cfg.lam * np.sum(phi ** 4, axis=-1) + cts.mu * np.sum(phi ** 2, axis=-1)
-            + cts.nu * n)
+    x, w = _gauss_hermite(gh)
+    y = np.stack(np.meshgrid(*([x.astype(ld)] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    weights = functools.reduce(np.multiply.outer, [w.astype(ld)] * n).ravel()
+    return weights, y @ _mode_basis(spec).T.astype(ld)
 
-    def log_mean_exp(logs):
-        logs = logs.astype(np.longdouble)
-        m = np.max(logs)
-        return m + np.log(np.sum(weights * np.exp(logs - m)))
 
-    z0 = log_mean_exp(-spec.a ** spec.d * even)
-    return {t: log_mean_exp(-spec.a ** spec.d * (even + (t * phi) @ cfg.f_array)) - z0
-            for t in t_values}
+def oracle_log_ratio(cfg, cts, t_values):
+    """log Z(t f) - log Z(0) on the node-major full grid of full_grid, the
+    interaction summed over the trailing site axis, all in extended precision,
+    as log1p(sum_i p_i expm1(-a^d t f . phi_i)) under the normalized t = 0
+    weights p.  A difference of two log-sums would carry the rounding of
+    log Z: on REF at gh 16, t = 0.3, it is 1.1e-11 relative off in float64 and
+    1.5e-14 in extended precision, where this form is within 1e-16 of a
+    40-digit sum."""
+    ld = np.longdouble
+    spec = cfg.spec
+    weights, phi = full_grid(spec, cfg.gh_nodes)
+    w = ld(spec.a) ** spec.d
+    logs0 = -w * (ld(cfg.lam) * np.sum(phi ** 4, axis=-1)
+                  + ld(cts.mu) * np.sum(phi ** 2, axis=-1) + ld(cts.nu) * spec.n_sites)
+    p = weights * np.exp(logs0 - np.max(logs0))
+    p /= np.sum(p)
+    lin = phi @ np.asarray(cfg.f_array).astype(ld)
+    return {t: np.log1p(np.sum(p * np.expm1(-w * ld(t) * lin))) for t in t_values}
 
 
 class TestQuadratureGrid:
     T_VALUES = (-1.0, -0.5, 0.3, 0.5, 1.0)
 
-    @pytest.mark.parametrize("spec, f, gh", [(REF, F, 12), (REF, F, 16), (REF, F, 20),
-                                             (CUBE, F8, 4)])
+    @pytest.mark.parametrize("spec, f, gh", [(REF, F, 12), (REF, F, 15), (REF, F, 16),
+                                             (REF, F, 20), (CUBE, F8, 3), (CUBE, F8, 4)])
     def test_matches_node_major_oracle(self, spec, f, gh):
         cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, gh_nodes=gh)
         cts = counterterms(spec, cfg.lam, nu_order=cfg.j)
@@ -300,24 +329,37 @@ class TestQuadratureGrid:
             assert got[t][1] == 0.0
 
     def test_small_ratio_matches_extended_precision_sums(self):
-        # the engine's own node sums, reduced in extended precision as two
-        # log-sums: a difference of float64 log-sums is 1.1e-11 off here
+        # the full grid, mirrors included, built and reduced in extended
+        # precision: the unpaired sum of expm1 terms, whose odd parts cancel
         cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, gh_nodes=16)
         cts = counterterms(REF, cfg.lam, nu_order=cfg.j)
-        weights, s2, s4, x, A = _node_grid(REF, 16)
-        lin = functools.reduce(np.add.outer, [c * x for c in A.T @ cfg.f_array]).ravel()
-        ld = np.longdouble
-        w = ld(REF.a) ** REF.d
-        even = ld(cfg.lam) * s4.astype(ld) + ld(cts.mu) * s2.astype(ld) + ld(cts.nu) * REF.n_sites
-
-        def log_sum(logs):
-            m = np.max(logs)
-            return m + np.log(np.sum(weights.astype(ld) * np.exp(logs - m)))
-
-        want = log_sum(-w * (even + ld(0.3) * lin.astype(ld))) - log_sum(-w * even)
+        want = oracle_log_ratio(cfg, cts, (0.3,))[0.3]
         got = _log_ratios(cfg, cts, (0.3,))[0.3][0]
         assert 6e-6 < got < 7e-6
-        assert abs((ld(got) - want) / want) <= 1e-14
+        assert abs((np.longdouble(got) - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("spec, f, gh", [(REF, F, 6), (REF, F, 7), (CUBE, F8, 3)])
+    def test_half_grid_and_its_mirror_are_the_full_grid(self, spec, f, gh):
+        # node k < ceil(g^n / 2) pairs with node g^n - 1 - k: its mirror -y
+        cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, gh_nodes=gh)
+        weights, s2, s4, lin = _nodes(cfg)
+        full_w, phi = full_grid(spec, gh)
+        full = [np.sum(phi ** 2, axis=-1), np.sum(phi ** 4, axis=-1),
+                phi @ np.asarray(f).astype(np.longdouble)]
+        size = gh ** spec.n_sites
+        assert len(weights) == (size + 1) // 2
+        assert math.fsum(weights) == pytest.approx(float(np.sum(full_w)), rel=1e-15, abs=0)
+        mirrored = [np.concatenate((s2, s2[:size // 2][::-1])),
+                    np.concatenate((s4, s4[:size // 2][::-1])),
+                    np.concatenate((lin, -lin[:size // 2][::-1]))]
+        for got, want in zip(mirrored, full):
+            want = want.astype(float)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # doubled weights, but for the centre node of an odd rule, its own mirror
+        _, w = _gauss_hermite(gh)
+        half, centre = weights[:size // 2] / 2, weights[size // 2:]
+        assert np.array_equal(np.concatenate((half, centre, half[::-1])),
+                              functools.reduce(np.multiply.outer, [w] * spec.n_sites).ravel())
 
     def test_grid_is_cached_per_spec_and_nodes(self):
         _node_grid.cache_clear()
@@ -393,3 +435,51 @@ class TestNonGaussianity:
         cfg = ExperimentConfig(spec=REF, lam=0.02, f=F)
         with pytest.raises(ValueError):
             nongaussianity(cfg, delta=1e-9)
+
+
+# float.hex of the estimator's outputs: the grid at gh 16, the grid's and the
+# 16-site draws' fourth cumulant, and the CLI's default MC run (1000 samples,
+# seed 0, its source) on 16 and 64 sites with a fixed C_j.  256 sites is left
+# out: there the eigh basis of the degenerate covariance moves with the thread
+# count.
+DIGEST_SCRIPT = """
+import math
+import numpy as np
+from phi4lab import LatticeSpec, ExperimentConfig, estimate_Z, nongaussianity
+from phi4lab.feynman_graphs import counterterms
+from phi4lab.stability_lab import _log_ratios
+
+REF = LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)
+F = (0.6, -0.4, 0.2, 0.5)
+out = []
+grid = ExperimentConfig(spec=REF, lam=0.05, f=F, gh_nodes=16)
+for value, error in _log_ratios(grid, counterterms(REF, 0.05, nu_order=1), (0.3, 1.0)).values():
+    out += [value, error]
+res = nongaussianity(ExperimentConfig(spec=REF, lam=0.05, f=F))
+out += [res["kappa4"], res["kappa4_error"]]
+for N in (2, 3):
+    spec = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=N)
+    f = tuple(np.random.default_rng(np.random.SeedSequence(entropy=0)).uniform(-0.5, 0.5,
+                                                                               spec.n_sites))
+    cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, n_samples=1000)
+    rep = estimate_Z(cfg, C_j=1.0)
+    out += [rep.value, rep.error, rep.series_value, rep.envelope]
+    if N == 2:
+        res = nongaussianity(cfg)
+        out += [res["kappa4"], res["kappa4_error"]]
+print(" ".join(float(v).hex() for v in out))
+"""
+
+
+def test_digests_equal_at_one_and_two_blas_threads():
+    src = str(Path(phi4lab.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 16
+    assert digests[0] == digests[1]
