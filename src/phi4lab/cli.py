@@ -49,7 +49,8 @@ from .effective_potential import (
     remainder_bound,
     require_flow,
 )
-from .stability_lab import ExperimentConfig, estimate_Z, nongaussianity
+from .stability_lab import (ExperimentConfig, _grid_size, _node_counts, estimate_Z,
+                           nongaussianity)
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -299,7 +300,8 @@ def stability(dim, gamma, mass, box, cutoff, lam, order, seed, samples, out, che
     if cfg.method == "MC":
         params["samples"] = cfg.n_samples
     else:
-        params["quadrature_nodes"] = cfg.gh_nodes ** spec.n_sites
+        counts = _node_counts(spec, cfg.gh_nodes)  # per mode, in ascending mode weight
+        params.update(node_counts=list(counts), quadrature_nodes=_grid_size(counts))
     _write_manifest(out, "stability", spec, params)
     report = estimate_Z(cfg)
     kappa = nongaussianity(cfg) if cfg.method == "exact-quadrature" else None

@@ -2,13 +2,16 @@
 
 Estimates log(Z(f)/Z(0)) with one ratio estimator over mirror pairs
 {phi, -phi}, one even term each (the measure is even under phi -> -phi): the
-exact Gauss-Hermite grid over the diagonalized covariance while
-gh_nodes ** n_sites <= QUADRATURE_NODE_CAP = 32^4, half its nodes kept per
-(spec, gh_nodes), else n_samples / 2 Monte Carlo draws with a pair error.
-C_j calibration needs the grid and refuses one over the cap with
-InfeasibleSizeError (CLI exit 3).  Compares the estimates with the truncated
-series inside a remainder envelope and measures the non-Gaussian fourth
-cumulant of the source-coupled field."""
+exact Gauss-Hermite grid over the diagonalized covariance while it fits
+QUADRATURE_NODE_CAP = 32^4 nodes, half its nodes kept per (spec, gh_nodes),
+else n_samples / 2 Monte Carlo draws with a pair error.  The grid spends
+nodes by mode weight: gh_nodes on the box-scale zero mode, and
+min(gh_nodes, LOW_NODES = 4) on every other mode, exact through degree 7
+there; where the cap admits gh_nodes > 4 (4, 8 and 9 sites) no other mode
+has more than 0.46 % of the zero mode's weight.  C_j calibration needs the
+grid and refuses one over the cap with InfeasibleSizeError (CLI exit 3).
+Compares the estimates with the truncated series inside a remainder envelope
+and measures the non-Gaussian fourth cumulant of the source-coupled field."""
 
 from __future__ import annotations
 
@@ -35,8 +38,10 @@ __all__ = [
     "quadrature_feasible",
 ]
 
-# the largest grid in use: the default 32 nodes per mode on a 4-site lattice
+# the largest grid admitted: 32 ** 4 nodes, 64 x 4^7 on an 8-site lattice
 QUADRATURE_NODE_CAP = 32 ** 4
+# Gauss-Hermite nodes on every mode but the zero mode (at most gh_nodes)
+LOW_NODES = 4
 # calibrate_Cj: the coupling C_j is fitted at, and the margin over the gap seen there
 LAM_CAL = 0.1
 SAFETY = 2.0
@@ -97,8 +102,28 @@ class StabilityReport:
 
 
 def quadrature_feasible(spec: LatticeSpec, gh_nodes: int) -> bool:
-    """True when the gh_nodes ** n_sites quadrature grid fits QUADRATURE_NODE_CAP."""
-    return gh_nodes ** spec.n_sites <= QUADRATURE_NODE_CAP
+    """True when the grid of _node_counts(spec, gh_nodes) fits QUADRATURE_NODE_CAP."""
+    return _grid_size(_node_counts(spec, gh_nodes)) <= QUADRATURE_NODE_CAP
+
+
+@functools.lru_cache(maxsize=32)
+def _node_counts(spec: LatticeSpec, gh_nodes: int) -> tuple:
+    """Gauss-Hermite nodes per mode in _mode_basis's column order (ascending
+    weight), by rank: gh_nodes on the largest mode weight, the zero mode's,
+    min(gh_nodes, LOW_NODES) on every other.  Read from the kernel's mode
+    weights, with no eigh and no dense matrix."""
+    weights = np.sort(covariance_cumulative(spec, spec.N).mode_weights, axis=None)
+    return tuple(np.where(weights < weights[-1], min(gh_nodes, LOW_NODES), gh_nodes).tolist())
+
+
+def _grid_size(counts: tuple) -> int:
+    """prod_i g_i, the nodes of the tensor grid with counts g_i, taken by powers."""
+    return math.prod(g ** counts.count(g) for g in set(counts))
+
+
+def _grid_text(counts: tuple) -> str:
+    """The node product of a grid, largest count first: '32^1 x 4^7'."""
+    return " x ".join(f"{g}^{counts.count(g)}" for g in sorted(set(counts), reverse=True))
 
 
 def _gauss_hermite(nodes: int):
@@ -122,36 +147,41 @@ def _mode_basis(spec: LatticeSpec):
 
 
 def _half_outer(ufunc, factors) -> np.ndarray:
-    """ufunc.outer of one 1-D factor per mode, raveled row-major, cut to the kept half."""
+    """ufunc.outer of one 1-D factor per mode, raveled row-major, cut to the
+    kept half: the first factor to ceil(g_1 / 2) values, the ravel to
+    ceil(prod_i g_i / 2)."""
     g = len(factors[0])
     outer = functools.reduce(ufunc.outer, [factors[0][:(g + 1) // 2], *factors[1:]])
-    return outer.ravel()[:(g ** len(factors) + 1) // 2]
+    return outer.ravel()[:(math.prod(map(len, factors)) + 1) // 2]
 
 
 @functools.lru_cache(maxsize=4)
 def _node_grid(spec: LatticeSpec, gh_nodes: int):
     """The lambda- and f-independent quadrature on the mirror pairs of the
-    gh_nodes ** n_sites tensor grid y (row-major over the modes), phi = A y:
-    node k's mirror -y is node gh_nodes ** n_sites - 1 - k, so the first half
-    (rounded up) is kept with doubled weights, but for an odd rule's centre.
-    Read-only (weights, s2, s4, x, A): per pair s2 = sum_x phi_x^2 and s4 =
-    sum_x phi_x^4; the 1-D nodes x; the basis A.  12 MiB at the cap, a cache of
-    at most 48 MiB; over the cap InfeasibleSizeError, before any array."""
-    if not quadrature_feasible(spec, gh_nodes):
-        raise InfeasibleSizeError(
-            f"{gh_nodes}^{spec.n_sites} quadrature nodes exceed the cap of "
-            f"{QUADRATURE_NODE_CAP}")
-    x, w = _gauss_hermite(gh_nodes)
+    tensor grid y with _node_counts nodes per mode (row-major over the modes),
+    phi = A y: every 1-D rule is symmetric, so node k's mirror -y is node
+    prod_i g_i - 1 - k, and the first half (rounded up) is kept with doubled
+    weights, but for the centre y = 0 when every count is odd.  Read-only
+    (weights, s2, s4, xs, A): per pair s2 = sum_x phi_x^2 and s4 = sum_x
+    phi_x^4; the 1-D nodes per mode xs; the basis A.  12 MiB at the cap, a
+    cache of at most 48 MiB; over the cap InfeasibleSizeError, before any array."""
+    counts = _node_counts(spec, gh_nodes)
+    size = _grid_size(counts)
+    if size > QUADRATURE_NODE_CAP:
+        raise InfeasibleSizeError(f"a {_grid_text(counts)}-node quadrature grid exceeds "
+                                  f"the cap of {QUADRATURE_NODE_CAP}")
+    rules = {g: _gauss_hermite(g) for g in set(counts)}
+    xs = tuple(rules[g][0] for g in counts)
     A = _mode_basis(spec)
-    weights = 2 * _half_outer(np.multiply, [w] * spec.n_sites)
-    weights[gh_nodes ** spec.n_sites // 2:] /= 2  # an odd rule's centre y = 0, if any
+    weights = 2 * _half_outer(np.multiply, [rules[g][1] for g in counts])
+    weights[size // 2:] /= 2  # the centre y = 0 of an all-odd grid, if any
     s2 = s4 = 0.0
     for row in A:  # phi_x = sum_k A_xk y_k, one site at a time
-        phi2 = np.square(_half_outer(np.add, [a * x for a in row]))
+        phi2 = np.square(_half_outer(np.add, [a * x for a, x in zip(row, xs)]))
         s2, s4 = s2 + phi2, s4 + np.square(phi2)
-    for arr in (weights, s2, s4, x):
+    for arr in (weights, s2, s4, *xs):
         arr.setflags(write=False)
-    return weights, s2, s4, x, A
+    return weights, s2, s4, xs, A
 
 
 def _nodes(cfg: ExperimentConfig):
@@ -161,8 +191,8 @@ def _nodes(cfg: ExperimentConfig):
     draws phi = A y weighted 2 / n_samples, refused (InfeasibleSizeError) before
     any array if the basis (n_sites^2) or block (n_sites P) passes MAX_TENSOR_ENTRIES."""
     if cfg.method == "exact-quadrature":
-        weights, s2, s4, x, A = _node_grid(cfg.spec, cfg.gh_nodes)
-        return weights, s2, s4, _half_outer(np.add, [c * x for c in A.T @ cfg.f_array])
+        weights, s2, s4, xs, A = _node_grid(cfg.spec, cfg.gh_nodes)
+        return weights, s2, s4, _half_outer(np.add, [c * x for c, x in zip(A.T @ cfg.f_array, xs)])
     n, P = cfg.spec.n_sites, cfg.n_samples // 2
     if n * max(n, P) > MAX_TENSOR_ENTRIES:
         raise InfeasibleSizeError(f"MC on {n} sites, {P} pairs: entries over MAX_TENSOR_ENTRIES")
@@ -252,9 +282,9 @@ def calibrate_Cj(cfg: ExperimentConfig) -> float:
     cal = replace(cfg, spec=sp, lam=LAM_CAL,
                   f=None if cfg.f is None else _refine_source(cfg.f, cfg.spec, sp))
     if cal.method == "MC":
-        raise InfeasibleSizeError(
-            f"C_j calibration needs exact quadrature: {cal.gh_nodes}^{sp.n_sites} "
-            f"nodes exceed the cap of {QUADRATURE_NODE_CAP}")
+        grid = _grid_text(_node_counts(sp, cal.gh_nodes))
+        raise InfeasibleSizeError(f"C_j calibration needs exact quadrature: a {grid}-node "
+                                  f"grid exceeds the cap of {QUADRATURE_NODE_CAP}")
     cts = counterterms(sp, LAM_CAL, nu_order=cal.j)
     quad = _log_ratios(cal, cts)[1.0][0] / (sp.n_sites * sp.a ** sp.d)
     gap = abs(quad - series_prediction(cal, cts))

@@ -168,10 +168,12 @@ class TestSubcommands:
                         "--check", "--out", str(tmp_path)])
         payload = json.loads((tmp_path / "stability.json").read_text())
         assert payload["inside"] is True
-        # exact quadrature draws no samples; the manifest records its node count
+        # exact quadrature draws no samples; the manifest records its nodes per
+        # mode, in ascending mode weight, and their product
         params = json.loads((tmp_path / "manifest.json").read_text())["params"]
         assert params["method"] == "exact-quadrature"
-        assert params["quadrature_nodes"] == 32 ** 4
+        assert params["node_counts"] == [4, 4, 4, 32]
+        assert params["quadrature_nodes"] == 32 * 4 ** 3
         assert "samples" not in params
 
     def test_stability_mc_manifest(self, runner, tmp_path):
@@ -183,7 +185,7 @@ class TestSubcommands:
         assert params["method"] == "MC"
         assert params["samples"] == 10
         assert "samples_requested" not in params
-        assert "quadrature_nodes" not in params
+        assert "quadrature_nodes" not in params and "node_counts" not in params
 
     def test_stability_odd_samples_exits_2(self, runner, tmp_path):
         # MC draws come in antithetic pairs, so the count must be even
@@ -192,14 +194,25 @@ class TestSubcommands:
         assert "n_samples" in result.stderr
 
     def test_stability_oversized_grid_exits_3(self, runner, tmp_path):
-        # 8 sites at 32 nodes is a 32^8-node grid: MC is chosen, and the C_j
-        # calibration on the coarsest lattice of the box, these same 8 sites,
-        # is refused by the node cap
+        # a box of side 2 in d = 3: MC on its 512 sites, and the C_j
+        # calibration on the coarsest lattice of the box, 64 sites, is a
+        # 32 x 4^63-node grid refused by the node cap
         start = time.perf_counter()
-        result = runner.invoke(main, ["stability", "--dim", "3", "--cutoff", "1",
+        result = runner.invoke(main, ["stability", "--dim", "3", "--box", "2",
                                       "--lambda", "0.05", "--out", str(tmp_path)])
         assert result.exit_code == 3
+        assert "32^1 x 4^63" in result.stderr
         assert time.perf_counter() - start < 30
+
+    def test_stability_d3_runs_on_the_grid(self, runner, tmp_path):
+        # 8 sites take 32 nodes on the zero mode and 4 on the others
+        run_ok(runner, ["stability", "--dim", "3", "--cutoff", "1", "--lambda", "0.05",
+                        "--check", "--out", str(tmp_path)])
+        params = json.loads((tmp_path / "manifest.json").read_text())["params"]
+        assert params["method"] == "exact-quadrature"
+        assert params["node_counts"] == [4] * 7 + [32]
+        assert params["quadrature_nodes"] == 32 * 4 ** 7
+        assert json.loads((tmp_path / "stability.json").read_text())["fourth_cumulant"]
 
     def test_stability_gaussian_control(self, runner, tmp_path):
         result = run_ok(runner, ["stability", *REF_ARGS, "--lambda", "0",
@@ -221,7 +234,7 @@ BOUNDARY = [
     (["graphs", "--dim", "2", "--cutoff", "7", "--order", "2"], 3),
     (["graphs", "--dim", "2", "--cutoff", "7", "--order", "3"], 3),
     (["rgflow", "--order", "4"], 3),
-    (["stability", "--dim", "3", "--cutoff", "1"], 3),  # a 32^8-node calibration grid
+    (["stability", "--dim", "3", "--box", "2"], 3),  # a 32 x 4^63-node calibration grid
     (["stability", "--cutoff", "7"], 3),  # MC on 16384 sites: a 16384^2 mode basis
     (["propagator", "--cutoff", "1"], 2),  # too few displacement classes to fit
     (["propagator", "--box", "0.7"], 2),
@@ -234,6 +247,8 @@ BOUNDARY = [
     # order-1 rgflow reports local couplings only: no d = 3 pair matrix on 32768 sites
     (["rgflow", "--dim", "3", "--cutoff", "5", "--order", "1"], 0),
     (["stability"], 0),  # MC on 16 sites, C_j calibrated on 4
+    (["stability", "--dim", "3", "--cutoff", "1"], 0),  # the 32 x 4^7-node grid on 8 sites
+    (["stability", "--dim", "3"], 0),  # MC on 64 sites, C_j calibrated on 8
 ]
 
 

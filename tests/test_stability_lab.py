@@ -19,14 +19,17 @@ from phi4lab import (
     nongaussianity,
 )
 from phi4lab.feynman_graphs import counterterms
+import phi4lab.stability_lab as stability_lab
 from phi4lab.stability_lab import (
     InfeasibleSizeError,
     QUADRATURE_NODE_CAP,
     MAX_TENSOR_ENTRIES,
     _gauss_hermite,
+    _grid_size,
     _log_ratio_terms,
     _log_ratios,
     _mode_basis,
+    _node_counts,
     _node_grid,
     _nodes,
     _refine_source,
@@ -41,6 +44,7 @@ REF = LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)
 F = (0.6, -0.4, 0.2, 0.5)
 CUBE = LatticeSpec(d=3, L=1, m=1, gamma=2, N=1)  # 8 sites
 F8 = (0.6, -0.4, 0.2, 0.5, -0.1, 0.3, -0.7, 0.25)
+BOX64 = LatticeSpec(d=3, L=2, m=1, gamma=2, N=1)  # 64 sites: 32 x 4^63 nodes at the default
 
 
 class TestConfig:
@@ -114,20 +118,21 @@ class TestEstimators:
         assert rep.inside
 
     def test_mc_agrees_with_quadrature(self):
-        # 33^4 nodes are over the cap, so REF draws samples at gh_nodes=33
-        cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1, seed=3, n_samples=200_000)
-        mc = replace(cfg, gh_nodes=33)
+        # 65 x 4^7 nodes are over the cap, so CUBE draws samples at gh_nodes=65
+        cfg = ExperimentConfig(spec=CUBE, lam=0.05, f=F8, j=1, seed=3, n_samples=200_000)
+        mc = replace(cfg, gh_nodes=65)
         assert (cfg.method, mc.method) == ("exact-quadrature", "MC")
-        cts = counterterms(REF, cfg.lam, nu_order=cfg.j)
+        cts = counterterms(CUBE, cfg.lam, nu_order=cfg.j)
         raw, err = _log_ratios(mc, cts)[1.0]
         quad, quad_err = _log_ratios(cfg, cts)[1.0]
         assert err > 0 and quad_err == 0.0
         assert abs(raw - quad) < 3 * err
 
     def test_mc_is_seed_deterministic(self):
-        cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1, seed=11, n_samples=20_000,
-                               gh_nodes=33)
-        cts = counterterms(REF, cfg.lam, nu_order=cfg.j)
+        cfg = ExperimentConfig(spec=CUBE, lam=0.05, f=F8, j=1, seed=11, n_samples=20_000,
+                               gh_nodes=65)
+        assert cfg.method == "MC"
+        cts = counterterms(CUBE, cfg.lam, nu_order=cfg.j)
         assert _log_ratios(cfg, cts) == _log_ratios(cfg, cts)
 
     @pytest.mark.parametrize("spec", [LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2),
@@ -165,34 +170,39 @@ class TestEstimators:
         big = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)
         assert ExperimentConfig(spec=REF, lam=0.05).method == "exact-quadrature"
         assert ExperimentConfig(spec=big, lam=0.05).method == "MC"
-        assert ExperimentConfig(spec=CUBE, lam=0.05, gh_nodes=4).method == "exact-quadrature"
+        assert ExperimentConfig(spec=CUBE, lam=0.05).method == "exact-quadrature"
+        assert ExperimentConfig(spec=CUBE, lam=0.05, gh_nodes=65).method == "MC"
 
-    def test_node_cap_refuses_eight_sites_at_default_nodes(self):
-        # MC on the run, but its C_j calibration needs the 32^8-node grid
-        cfg = ExperimentConfig(spec=CUBE, lam=0.05, f=F8)
-        assert cfg.gh_nodes ** CUBE.n_sites > QUADRATURE_NODE_CAP
-        with pytest.raises(InfeasibleSizeError):
+    def test_node_cap_refuses_sixty_four_sites_at_default_nodes(self):
+        # MC on the run, but its C_j calibration needs the 32 x 4^63-node grid
+        f = tuple(np.random.default_rng(3).uniform(-0.5, 0.5, BOX64.n_sites))
+        cfg = ExperimentConfig(spec=BOX64, lam=0.05, f=f, n_samples=2000)
+        assert _grid_size(_node_counts(BOX64, cfg.gh_nodes)) > QUADRATURE_NODE_CAP
+        with pytest.raises(InfeasibleSizeError, match=r"a 32\^1 x 4\^63-node grid"):
             estimate_Z(cfg)
 
     def test_eight_site_gaussian_control_under_the_cap(self):
-        cfg = ExperimentConfig(spec=CUBE, lam=0.0, f=F8, gh_nodes=4)
-        rep = estimate_Z(cfg)
         fa = np.asarray(F8)
         M = covariance_cumulative(CUBE, CUBE.N).matrix()
         vol = CUBE.n_sites * CUBE.a ** CUBE.d
         exact = 0.5 * CUBE.a ** (2 * CUBE.d) * fa @ M @ fa / vol
-        assert rep.value == pytest.approx(exact, abs=1e-12)
+        for gh in (4, 32):  # 4^8 and the default 32 x 4^7 nodes
+            rep = estimate_Z(ExperimentConfig(spec=CUBE, lam=0.0, f=F8, gh_nodes=gh))
+            assert rep.extras["method"] == "exact-quadrature"
+            assert rep.value == pytest.approx(exact, abs=1e-12)
 
     def test_feasibility_decides_the_sweep_method(self):
-        for gh in (4, 32):
+        # CUBE's grid is 32 x 4^7 nodes at gh 32, under the cap, and 65 x 4^7
+        # at gh 65, over it; its refinement to 64 sites is over the cap at both
+        for gh in (32, 65):
             cfg = ExperimentConfig(spec=CUBE, lam=0.0, f=F8, gh_nodes=gh, n_samples=2000)
             sweep = stability_envelope(cfg, N_range=[1, 2])
             for N, rep in sweep["reports"].items():
                 sp = LatticeSpec(d=3, L=1, m=1, gamma=2, N=N)
                 assert ((rep.extras["method"] == "exact-quadrature")
                         == quadrature_feasible(sp, gh))
-            assert sweep["reports"][1].extras["method"] == (
-                "exact-quadrature" if gh == 4 else "MC")
+            assert [rep.extras["method"] for rep in sweep["reports"].values()] == (
+                ["exact-quadrature", "MC"] if gh == 32 else ["MC", "MC"])
 
     def test_series_prediction_is_source_difference(self):
         cfg = ExperimentConfig(spec=REF, lam=0.05, f=F, j=1)
@@ -280,28 +290,30 @@ class TestAntitheticPairs:
             A[0, 0] = 0.0
 
 
-def full_grid(spec, gh):
-    """(weights, phi) over every node of the gh ** n_sites tensor grid, mirrors
-    included, in extended precision: phi = y A^T with one row per node."""
+def full_grid(spec, counts):
+    """(weights, phi) over every node of the tensor grid with counts[k]
+    Gauss-Hermite nodes on column k of _mode_basis, mirrors included, in
+    extended precision: phi = y A^T with one row per node.  The isotropic
+    grid of gh nodes per mode is counts = (gh,) * n_sites."""
     ld = np.longdouble
-    n = spec.n_sites
-    x, w = _gauss_hermite(gh)
-    y = np.stack(np.meshgrid(*([x.astype(ld)] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    weights = functools.reduce(np.multiply.outer, [w.astype(ld)] * n).ravel()
+    rules = [_gauss_hermite(g) for g in counts]
+    y = np.stack(np.meshgrid(*(x.astype(ld) for x, _ in rules), indexing="ij"),
+                 axis=-1).reshape(-1, len(counts))
+    weights = functools.reduce(np.multiply.outer, [w.astype(ld) for _, w in rules]).ravel()
     return weights, y @ _mode_basis(spec).T.astype(ld)
 
 
-def oracle_log_ratio(cfg, cts, t_values):
-    """log Z(t f) - log Z(0) on the node-major full grid of full_grid, the
-    interaction summed over the trailing site axis, all in extended precision,
-    as log1p(sum_i p_i expm1(-a^d t f . phi_i)) under the normalized t = 0
-    weights p.  A difference of two log-sums would carry the rounding of
-    log Z: on REF at gh 16, t = 0.3, it is 1.1e-11 relative off in float64 and
-    1.5e-14 in extended precision, where this form is within 1e-16 of a
-    40-digit sum."""
+def oracle_log_ratio(cfg, cts, t_values, grid=None):
+    """log Z(t f) - log Z(0) on a node-major full grid, by default full_grid
+    of the engine's node counts, the interaction summed over the trailing
+    site axis, all in extended precision, as log1p(sum_i p_i expm1(-a^d t f .
+    phi_i)) under the normalized t = 0 weights p.  A difference of two
+    log-sums would carry the rounding of log Z: on REF at gh 16 on every mode,
+    t = 0.3, it is 1.1e-11 relative off in float64 and 1.5e-14 in extended
+    precision, where this form is within 1e-16 of a 40-digit sum."""
     ld = np.longdouble
     spec = cfg.spec
-    weights, phi = full_grid(spec, cfg.gh_nodes)
+    weights, phi = grid or full_grid(spec, _node_counts(spec, cfg.gh_nodes))
     w = ld(spec.a) ** spec.d
     logs0 = -w * (ld(cfg.lam) * np.sum(phi ** 4, axis=-1)
                   + ld(cts.mu) * np.sum(phi ** 2, axis=-1) + ld(cts.nu) * spec.n_sites)
@@ -335,15 +347,52 @@ class TestQuadratureGrid:
         assert 6e-6 < got < 7e-6
         assert abs((np.longdouble(got) - want) / want) <= 1e-14
 
-    @pytest.mark.parametrize("spec, f, gh", [(REF, F, 6), (REF, F, 7), (CUBE, F8, 3)])
-    def test_half_grid_and_its_mirror_are_the_full_grid(self, spec, f, gh):
-        # node k < ceil(g^n / 2) pairs with node g^n - 1 - k: its mirror -y
-        cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, gh_nodes=gh)
-        weights, s2, s4, lin = _nodes(cfg)
-        full_w, phi = full_grid(spec, gh)
+    @pytest.mark.parametrize("gh", [12, 16, 20, 32])
+    def test_ref_matches_the_isotropic_grid(self, gh):
+        # gh nodes on the zero mode and 4 on the others against gh on every
+        # mode: the value and the stencil's fourth cumulant
+        grid = full_grid(REF, (gh,) * REF.n_sites)
+        for lam in (0.01, 0.05, 0.1):
+            cfg = ExperimentConfig(spec=REF, lam=lam, f=F, gh_nodes=gh)
+            cts = counterterms(REF, lam, nu_order=cfg.j)
+            want = oracle_log_ratio(cfg, cts, (0.5, 1.0), grid)
+            got = _log_ratios(cfg, cts, (0.5, 1.0))
+            for t in (0.5, 1.0):
+                assert got[t][0] == pytest.approx(float(want[t]), rel=1e-12, abs=0)
+            kappa4 = float(-8 * want[0.5] + 2 * want[1.0]) / 0.5 ** 4
+            assert nongaussianity(cfg)["kappa4"] == pytest.approx(kappa4, rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("lam", [0.01, 0.05, 0.1])
+    def test_cube_matches_a_second_allocation(self, lam):
+        # the default 32 x 4^7 nodes against 128 on the zero mode and 3 on the
+        # others, 128 x 3^7
+        cfg = ExperimentConfig(spec=CUBE, lam=lam, f=F8)
+        assert _node_counts(CUBE, cfg.gh_nodes) == (4,) * 7 + (32,)
+        cts = counterterms(CUBE, lam, nu_order=cfg.j)
+        want = oracle_log_ratio(cfg, cts, (1.0,), full_grid(CUBE, (3,) * 7 + (128,)))[1.0]
+        assert _log_ratios(cfg, cts)[1.0][0] == pytest.approx(float(want), rel=1e-6, abs=0)
+
+    @pytest.mark.parametrize("spec, f, gh, low", [(REF, F, 6, 4), (REF, F, 7, 4), (REF, F, 3, 4),
+                                                  (REF, F, 5, 3), (CUBE, F8, 3, 4)])
+    def test_half_grid_and_its_mirror_are_the_full_grid(self, spec, f, gh, low, monkeypatch):
+        # node k < ceil(G / 2) pairs with node G - 1 - k, its mirror -y, for G
+        # the product of the counts: (4, 4, 4, 6), (4, 4, 4, 7), the all-odd
+        # (3, 3, 3, 3) and (3, 3, 3, 5) on REF, and 3^8 on CUBE
+        monkeypatch.setattr(stability_lab, "LOW_NODES", low)
+        _node_counts.cache_clear()
+        _node_grid.cache_clear()
+        try:
+            cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, gh_nodes=gh)
+            counts = _node_counts(spec, gh)
+            assert counts == (min(gh, low),) * (spec.n_sites - 1) + (gh,)
+            weights, s2, s4, lin = _nodes(cfg)
+        finally:
+            _node_counts.cache_clear()
+            _node_grid.cache_clear()
+        full_w, phi = full_grid(spec, counts)
         full = [np.sum(phi ** 2, axis=-1), np.sum(phi ** 4, axis=-1),
                 phi @ np.asarray(f).astype(np.longdouble)]
-        size = gh ** spec.n_sites
+        size = math.prod(counts)
         assert len(weights) == (size + 1) // 2
         assert math.fsum(weights) == pytest.approx(float(np.sum(full_w)), rel=1e-15, abs=0)
         mirrored = [np.concatenate((s2, s2[:size // 2][::-1])),
@@ -352,28 +401,51 @@ class TestQuadratureGrid:
         for got, want in zip(mirrored, full):
             want = want.astype(float)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        # doubled weights, but for the centre node of an odd rule, its own mirror
-        _, w = _gauss_hermite(gh)
+        # doubled weights, but for the centre node of an all-odd grid, its own mirror
         half, centre = weights[:size // 2] / 2, weights[size // 2:]
-        assert np.array_equal(np.concatenate((half, centre, half[::-1])),
-                              functools.reduce(np.multiply.outer, [w] * spec.n_sites).ravel())
+        assert len(centre) == size % 2
+        assert np.array_equal(np.concatenate((half, centre, half[::-1])), functools.reduce(
+            np.multiply.outer, [_gauss_hermite(g)[1] for g in counts]).ravel())
+
+    def test_node_counts_follow_the_mode_weights(self):
+        # gh_nodes on the zero mode, the constant last column of the basis
+        # (ascending weight), LOW_NODES = 4 or fewer on every other; worked
+        # out from the kernel, with no eigh, even on 16384 sites
+        _mode_basis.cache_clear()
+        _node_counts.cache_clear()
+        assert _node_counts(REF, 32) == (4, 4, 4, 32)
+        assert _node_counts(REF, 3) == (3, 3, 3, 3)
+        assert _node_counts(CUBE, 32) == (4,) * 7 + (32,)
+        big = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=7)
+        assert _node_counts(big, 32) == (4,) * 16383 + (32,)
+        assert not quadrature_feasible(big, 32)
+        assert _mode_basis.cache_info().misses == 0
+        for spec in (REF, CUBE):
+            zero = _mode_basis(spec)[:, -1]
+            assert np.allclose(zero, zero[0], rtol=1e-12, atol=0)
+        assert (quadrature_feasible(CUBE, 64), quadrature_feasible(CUBE, 65)) == (True, False)
 
     def test_grid_is_cached_per_spec_and_nodes(self):
         _node_grid.cache_clear()
+        _node_counts.cache_clear()
         for lam, f in ((0.02, F), (0.07, (0.1, 0.9, -0.3, 0.0))):
             cfg = ExperimentConfig(spec=REF, lam=lam, f=f, gh_nodes=12)
             _log_ratios(cfg, counterterms(REF, lam, nu_order=1))
         info = _node_grid.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        for arr in _node_grid(REF, 12):
+        assert (_node_counts.cache_info().misses, _node_counts.cache_info().currsize) == (1, 1)
+        weights, s2, s4, xs, A = _node_grid(REF, 12)
+        assert [len(x) for x in xs] == [4, 4, 4, 12]
+        for arr in (weights, s2, s4, *xs, A):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
 
     def test_refused_grid_is_not_cached(self):
         _node_grid.cache_clear()
-        with pytest.raises(InfeasibleSizeError):
-            _node_grid(CUBE, 32)
+        for spec, gh in ((BOX64, 32), (CUBE, 65)):
+            with pytest.raises(InfeasibleSizeError, match="-node quadrature grid exceeds"):
+                _node_grid(spec, gh)
         assert _node_grid.cache_info().currsize == 0
 
 
@@ -434,9 +506,10 @@ class TestNonGaussianity:
             nongaussianity(cfg, delta=1e-9)
 
 
-# float.hex of the estimator's outputs: the grid at gh 16, the grid's and the
-# 16-site draws' fourth cumulant, and the CLI's default MC run (1000 samples,
-# seed 0, its source) on 16 and 64 sites with a fixed C_j.  256 sites is left
+# float.hex of the estimator's outputs: the grid on REF at gh 16 and on CUBE
+# at gh 32, the grids' and the 16-site draws' fourth cumulant, and the CLI's
+# default MC run (1000 samples, seed 0, its source) on 16 and 64 sites with a
+# fixed C_j.  256 sites is left
 # out: there the eigh basis of the degenerate covariance moves with the thread
 # count.
 DIGEST_SCRIPT = """
@@ -453,6 +526,13 @@ grid = ExperimentConfig(spec=REF, lam=0.05, f=F, gh_nodes=16)
 for value, error in _log_ratios(grid, counterterms(REF, 0.05, nu_order=1), (0.3, 1.0)).values():
     out += [value, error]
 res = nongaussianity(ExperimentConfig(spec=REF, lam=0.05, f=F))
+out += [res["kappa4"], res["kappa4_error"]]
+CUBE = LatticeSpec(d=3, L=1, m=1, gamma=2, N=1)
+F8 = (0.6, -0.4, 0.2, 0.5, -0.1, 0.3, -0.7, 0.25)
+cube = ExperimentConfig(spec=CUBE, lam=0.05, f=F8, gh_nodes=32)
+for value, error in _log_ratios(cube, counterterms(CUBE, 0.05, nu_order=1), (0.3, 1.0)).values():
+    out += [value, error]
+res = nongaussianity(cube)
 out += [res["kappa4"], res["kappa4_error"]]
 for N in (2, 3):
     spec = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=N)
@@ -478,5 +558,5 @@ def test_digests_equal_at_one_and_two_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
-    assert len(digests[0]) == 16
+    assert len(digests[0]) == 22
     assert digests[0] == digests[1]
