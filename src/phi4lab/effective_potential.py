@@ -18,8 +18,8 @@ realizing it.  E^T of k copies is the sum over the line patterns whose lines
 join the k copies into one component: no disconnected pattern is formed, so
 no cumulant is built by subtraction.  k = 1 follows the same rule, one copy
 being always joined.  The pattern table (``feynman_graphs._joined_patterns``,
-which also counts the series topologies) picks line counts within each
-vertex's legs and keeps the joined patterns only.
+which the series sums too) picks line counts within each vertex's legs and
+keeps the joined patterns only.
 """
 
 from __future__ import annotations

@@ -3,13 +3,13 @@
 The primitive object is a perfect matching of labeled half-lines (a Wick
 contraction).  Quartic vertices carry 4 half-lines, quadratic (mass) vertices
 2, external-field vertices 1 and the trivial vacuum vertex none.  Symmetry
-factors are never hand-counted: a topology's multiplicity is the number of
-labeled matchings realizing its line multisets, counted by the same
-line-pattern rule (``_joined_patterns``) the recursion integrates with, and
-checked against the labeled matchings themselves, which stay as the oracle
-and as the input of cluster trees.  Matchings are generated from one explicit
-stack of choices, and a matching over k elements is connected when a
-union-find over its lines makes k - 1 merges.
+factors are never hand-counted: the series weighs each line pattern of
+``_joined_patterns`` (the rule the recursion integrates with) by the number
+of leg pairings that realize it, which are checked against the labeled
+matchings themselves; those stay as the oracle (``integrated_value`` over
+``aggregate_topologies``) and as the input of cluster trees.  Matchings are
+generated from one explicit stack of choices, and a matching over k
+elements is connected when a union-find over its lines makes k - 1 merges.
 
 The interaction convention is
 
@@ -21,30 +21,31 @@ so a graph with n quartic, p mass and r external vertices carries the sign
 polynomial in lambda (first order -6 lambda C_00, second order the d=3 local
 chain part), which makes order bookkeeping in the series exact.
 
-Each (n, p, r) family's topology table and each topology's einsum plan per
-(lines, kinds, n_sites) are memoized, keyed on no kernel, source or coupling.
-A plan is numpy's optimize=True contraction path compiled into the pairwise
-matmul/multiply steps numpy would run for it, replayed with no per-call
-parsing; the counterterms and the series refuse a family whose steps pass
-MAX_TENSOR_ENTRIES before they read the kernel.  A self-loop reads C(0) from
-``kernel.at_zero``; the dense covariance, which the kernel keeps
-(``lattice_propagator._shared_matrix``), is fetched once per sum and only
-when a plan has a line between two vertices, so the order-1 source-free
-sums never build it.
+The series reads the source only as a shift of the field.  By the
+translation formula for Gaussian measures,
+
+    log Z(f)/Z(0) = 1/2 a^(2d) f.C.f + log E[exp(U(phi + s))] / E[exp(U(phi))]
+
+with s = -a^d C f and U = V at f = 0, so it sums the joined patterns of
+n quartic and p mass one-vertex copies, every free leg reading s and every
+line a power of ``kernel.values``.  A pattern is summed with no dense
+matrix: vertices without free legs are summed away (into a line's sum or a
+convolution), a pair left is one spectral dot product and a triangle loops
+over one vertex.  Without a source only the full pairings count, and each
+is a translation-reduced sum.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .lattice_propagator import (
-    MAX_TENSOR_ENTRIES,
     InfeasibleSizeError,
     LatticeSpec,
     PropagatorKernel,
@@ -315,177 +316,14 @@ def _canonical_lines(lines, kinds):
     return best
 
 
-@functools.lru_cache(maxsize=None)
-def _topology_table(n: int, p: int, r: int) -> tuple:
-    """(raw line multiset, element kinds, multiplicity) per topology of the
-    connected (n, p, r) family.
-
-    The full pairings among the _joined_patterns of one vertex per copy, with
-    4, 2 and 1 legs, are the connected line multisets, each weighted by the
-    number of labeled matchings that realize it; they are bucketed by
-    _canonical_lines and their weights summed, so no matching is enumerated.
-    It depends only on the three counts, never on a kernel or a source, so
-    it is built once per process and shared by every series and counterterm.
-    """
-    kinds = tuple(e.kind for e in _elements(n, p, r))
-    buckets = {}
-    for factors, left, w in _joined_patterns(((4,),) * n + ((2,),) * p + ((1,),) * r):
-        if any(left):
-            continue
-        raw = tuple(sorted((axes[0], axes[-1]) for axes, k in factors for _ in range(k)))
-        sig = _canonical_lines(raw, kinds)
-        if sig not in buckets:
-            buckets[sig] = [raw, 0]
-        buckets[sig][1] += int(w)
-    return tuple((raw, kinds, count) for raw, count in buckets.values())
-
-
-class _Step(NamedTuple):
-    """One contraction of a compiled plan, as np.einsum(optimize=True) runs it.
-
-    The operands at ``positions`` (descending) are popped, contracted by the
-    einsum equation ``eq`` and the result, of ``entries`` entries, appended.
-    A step over one operand, or over all that remain, is the single call
-    ``np.einsum(eq, *operands)``.  A pair (a, b), popped in that order, is
-    prepared one operand at a time: ``np.einsum(prep_a, a)`` transposes it or
-    sums an index no other term holds, then it is reshaped to ``shape_a``;
-    then ``np.multiply(a, b)`` when no index is contracted, else
-    ``np.matmul(a, b)`` reshaped to ``shape_out`` and transposed by ``perm``.
-    A None field is a call numpy skips too."""
-
-    positions: tuple
-    eq: str
-    entries: int
-    prep_a: str | None = None
-    shape_a: tuple | None = None
-    prep_b: str | None = None
-    shape_b: tuple | None = None
-    multiply: bool = False
-    shape_out: tuple | None = None
-    perm: tuple | None = None
-
-
-def _pair_step(positions, a_term: str, b_term: str, out: str, n: int) -> _Step:
-    """The pairwise einsum a_term,b_term->out over indices of size n > 1,
-    compiled to the calls of numpy's batched-matmul executor (after
-    J. Gray's einsum_bmm): batch indices first, then kept, then contracted."""
-    bat = [ix for ix in a_term if ix in b_term and ix in out]
-    con = [ix for ix in a_term if ix in b_term and ix not in out]
-    a_keep = [ix for ix in a_term if ix not in b_term and ix in out]
-    b_keep = [ix for ix in b_term if ix not in a_term and ix in out]
-
-    def prep(term, desired):
-        return None if desired == term else f"{term}->{desired}"
-
-    eq, entries = f"{a_term},{b_term}->{out}", n ** len(out)
-    if not con:
-        # pure multiplication: each term transposed into output order, with
-        # singleton axes where the other term's indices go
-        return _Step(positions, eq, entries,
-                     prep_a=prep(a_term, "".join(ix for ix in out if ix in a_term)),
-                     shape_a=tuple(n if ix in a_term else 1 for ix in out),
-                     prep_b=prep(b_term, "".join(ix for ix in out if ix in b_term)),
-                     shape_b=tuple(n if ix in b_term else 1 for ix in out),
-                     multiply=True)
-    lead = (bat,) if bat else ()  # no size-1 batch axis without batch indices
-    lgroups, rgroups, ogroups = lead + (a_keep, con), lead + (con, b_keep), lead + (a_keep, b_keep)
-
-    def fused(gs):
-        return tuple(n ** len(g) for g in gs) if any(len(g) != 1 for g in gs) else None
-
-    produced = "".join(bat + a_keep + b_keep)
-    return _Step(positions, eq, entries,
-                 prep_a=prep(a_term, "".join(bat + a_keep + con)), shape_a=fused(lgroups),
-                 prep_b=prep(b_term, "".join(bat + con + b_keep)), shape_b=fused(rgroups),
-                 shape_out=(tuple(n for g in ogroups for _ in g)
-                            if any(len(g) != 1 for g in ogroups) else None),
-                 perm=None if produced == out else tuple(produced.index(ix) for ix in out))
-
-
-@functools.lru_cache(maxsize=1024)
-def _contraction_plan(lines: tuple, element_kinds: tuple, n_sites: int) -> tuple:
-    """(operand roles, steps, free vertex count) of one topology.
-
-    Roles are M (a line), c0 (a self-loop's C(0) vector) and f (an external
-    leg).  The contraction order is np.einsum_path's optimize=True choice for
-    these shapes, searched once; it is compiled into ``_Step`` calls, the
-    ones np.einsum(optimize=True) would make, so replaying them gives its
-    float result bit for bit with no per-call parsing.  The key holds no
-    kernel, source or coupling, and a plan holds no array; 1024 plans stay
-    under 1 MiB."""
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    k = len(element_kinds)
-    if k > len(letters):
-        raise ValueError("too many vertices")
-    roles, subs = [], []
-    used = set()
-    for u, v in lines:
-        used.update((u, v))
-        roles.append("c0" if u == v else "M")
-        subs.append(letters[u] if u == v else letters[u] + letters[v])
-    for v, kind in enumerate(element_kinds):
-        if kind == "external":
-            roles.append("f")
-            subs.append(letters[v])
-            used.add(v)
-    free = k - len(used)
-    if not roles:
-        return (), (), free
-    shapes = [np.broadcast_to(0.0, (n_sites,) * len(sub)) for sub in subs]
-    path = np.einsum_path(",".join(subs) + "->", *shapes, optimize=True)[0][1:]
-    steps = []
-    for positions in path:
-        positions = tuple(sorted(positions, reverse=True))
-        terms = [subs.pop(x) for x in positions]
-        # a result keeps the indices a later term needs, in letter order
-        # (all sizes are equal); the last one is the scalar
-        out = "".join(sorted(set("".join(terms)) & set("".join(subs))))
-        subs.append(out)
-        if len(terms) == 2:
-            steps.append(_pair_step(positions, *terms, out, n_sites))
-        else:
-            steps.append(_Step(positions, ",".join(terms) + "->" + out, n_sites ** len(out)))
-    return tuple(roles), tuple(steps), free
-
-
-def _einsum_sum(lines, element_kinds, M, c0, f, n_sites):
-    """Sum of prod-of-lines (and f factors) over all vertex position
-    assignments.  A line between two vertices reads the dense covariance M
-    (None when there is no such line), a self-loop the float c0 = C(0)."""
-    roles, steps, free = _contraction_plan(tuple(lines), tuple(element_kinds), n_sites)
-    if not roles:
-        return float(n_sites ** free)
-    loop = np.full(n_sites, c0) if "c0" in roles else None
-    ops = [M if r == "M" else loop if r == "c0" else f for r in roles]
-    for s in steps:
-        terms = [ops.pop(x) for x in s.positions]
-        if len(terms) != 2:
-            ops.append(np.einsum(s.eq, *terms))
-            continue
-        a, b = terms
-        if s.prep_a is not None:
-            a = np.einsum(s.prep_a, a)
-        if s.shape_a is not None:
-            a = a.reshape(s.shape_a)
-        if s.prep_b is not None:
-            b = np.einsum(s.prep_b, b)
-        if s.shape_b is not None:
-            b = b.reshape(s.shape_b)
-        if s.multiply:
-            ops.append(np.multiply(a, b))
-            continue
-        ab = np.matmul(a, b)
-        if s.shape_out is not None:
-            ab = ab.reshape(s.shape_out)
-        if s.perm is not None:
-            ab = ab.transpose(s.perm)
-        ops.append(ab)
-    return float(ops[0]) * n_sites ** free
-
-
 def integrated_value(G: FeynmanGraph, kernel: PropagatorKernel, f,
                      lam: float, mu: float = 0.0, nu: float = 0.0) -> float:
-    """Graph value summed over all vertex positions with weight a^d per vertex."""
+    """Graph value summed over all vertex positions with weight a^d per vertex.
+
+    The per-graph oracle of the series: a self-loop is the factor C(0),
+    and one np.einsum(optimize=True) call, its path searched anew on every
+    call, contracts the elementwise power C^k of the dense covariance per
+    vertex pair joined by k lines with the source per external leg."""
     spec = kernel.spec
     if len(G.elements) == 1 and G.elements[0].kind == "vacuum":
         return nu * spec.n_sites * spec.a ** spec.d
@@ -493,17 +331,31 @@ def integrated_value(G: FeynmanGraph, kernel: PropagatorKernel, f,
     if internal > MAX_INTERNAL_VERTICES:
         raise InfeasibleSizeError(f"refusing {internal} internal vertices "
                                   f"(at most {MAX_INTERNAL_VERTICES})")
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    if len(G.elements) > len(letters):
+        raise ValueError("too many vertices")
     f_arr = spec.source(f)
     n, p, r = G.n, G.p, G.r
     pref = (-1.0) ** (n + p + r) * lam ** n * mu ** p
     pref /= math.factorial(n) * math.factorial(p) * math.factorial(r)
-    kinds = tuple(e.kind for e in G.elements)
-    M = _shared_matrix(kernel) if any(u != v for u, v in G.lines()) else None
-    S = _einsum_sum(G.lines(), kinds, M, kernel.at_zero, f_arr, spec.n_sites)
+    operands, subs = [], []
+    for (u, v), k in collections.Counter(tuple(sorted(l)) for l in G.lines()).items():
+        if u == v:
+            pref *= kernel.at_zero ** k
+        else:
+            operands.append(_shared_matrix(kernel) ** k)
+            subs.append(letters[u] + letters[v])
+    for v, e in enumerate(G.elements):
+        if e.kind == "external":
+            operands.append(f_arr)
+            subs.append(letters[v])
+    S = float(np.einsum(",".join(subs) + "->", *operands, optimize=True)) if operands else 1.0
+    # a vertex no operand indexes sums to n_sites
+    S *= spec.n_sites ** (len(G.elements) - len(set("".join(subs))))
     return pref * S * spec.a ** (spec.d * len(G.elements))
 
 
-# --- polynomial-in-lambda helpers -------------------------------------------
+# --- the series engine -------------------------------------------------------
 
 def _poly_mul(a, b, jmax):
     out = np.zeros(jmax + 1)
@@ -515,58 +367,121 @@ def _poly_mul(a, b, jmax):
     return out
 
 
-def _poly_shift(a, k, jmax):
-    out = np.zeros(jmax + 1)
-    if k <= jmax:
-        out[k:] = a[: jmax + 1 - k]
-    return out
+def _convolve(spec: LatticeSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Periodic convolution (a * b)(t) = sum_x a(x) b(t - x) a^d, from the
+    spectra A = fftn(a) and B = fftn(b)."""
+    return np.fft.ifftn(A * B).real * spec.a ** spec.d
 
 
-@functools.lru_cache(maxsize=256)
-def _family_reach(n: int, p: int, r: int, n_sites: int) -> tuple:
-    """(entries of the largest result a contraction step makes, whether a
-    plan has a line between two vertices) over the topologies of the
-    connected (n, p, r) family."""
-    plans = [_contraction_plan(raw, kinds, n_sites) for raw, kinds, _ in _topology_table(n, p, r)]
-    return (max((s.entries for _, steps, _ in plans for s in steps), default=0),
-            any("M" in roles for roles, _, _ in plans))
+def _pattern_sums(kernel: PropagatorKernel, s):
+    """value(factors, r): a line pattern of ``_joined_patterns`` summed over
+    its vertex positions y, a^d per vertex, of prod_a C(0)^t_a s(y_a)^r_a
+    prod_(a<b) C(y_a - y_b)^k_ab, with s the field shift over the sites
+    (None when no pattern has a free leg).
+
+    Arrays are named by keys: ("C", k) is C^k, ("s", r) is s^r, and
+    ("*", K, L) and ("x", K, L) the convolution and the product of two keyed
+    arrays; each key's array, spectrum and sum is made once per call, and
+    only when a pattern reads it.  A vertex without free legs is summed
+    away first: with one line it leaves that line's sum, with two their
+    convolution, a new line between its neighbours.  Of three vertices with
+    legs, a chain folds a leaf into its neighbour's weight by one
+    convolution, and a triangle loops over one vertex's positions with
+    O(n_sites) memory.  A pair left is one spectral dot product.  Every
+    kernel is even, so a line has no orientation; at most MAX_ORDER copies
+    are joined, so a vertex has at most two neighbours."""
+    spec = kernel.spec
+    ad, axes = spec.a ** spec.d, tuple(range(spec.d))
+
+    @functools.cache
+    def real(key):
+        op, *args = key
+        if op == "C":
+            return kernel.values ** args[0]
+        if op == "s":
+            return s.reshape(spec.shape) ** args[0]
+        if op == "*":
+            return _convolve(spec, *map(spectrum, args))
+        return real(args[0]) * real(args[1])
+
+    @functools.cache
+    def spectrum(key):
+        return np.fft.fftn(real(key))
+
+    @functools.cache
+    def total(key):
+        return ad * float(np.sum(real(key)))
+
+    def dot(A, K, B):
+        """a^(2d) sum_(y,z) a(y) k(y - z) b(z) from the spectra A, K, B."""
+        return ad * ad * float(np.vdot(A, K * B).real) / spec.n_sites
+
+    def value(factors, r):
+        out, lines = 1.0, {}
+        for ab, k in factors:
+            if len(ab) == 1:
+                out *= kernel.at_zero ** k
+            else:
+                lines[ab] = ("C", k)
+        legs = {v: ("s", x) for v, x in enumerate(r) if x}
+        alive = list(range(len(r)))
+        for v in [v for v in alive if v not in legs]:
+            if len(alive) == 1:
+                break
+            alive.remove(v)
+            ends = [ab for ab in lines if v in ab]
+            if len(ends) == 1:
+                out *= total(lines.pop(ends[0]))
+                continue
+            uw = tuple(sorted(u for ab in ends for u in ab if u != v))
+            new = ("*", lines.pop(ends[0]), lines.pop(ends[1]))
+            lines[uw] = ("x", lines[uw], new) if uw in lines else new
+        if len(alive) == 1:
+            return out * (total(legs[alive[0]]) if alive[0] in legs else ad * spec.n_sites)
+        if len(alive) == 3 and len(lines) == 2:
+            v = next(v for v in alive if sum(v in ab for ab in lines) == 1)
+            ab = next(ab for ab in lines if v in ab)
+            u = ab[0] + ab[1] - v
+            legs[u] = ("x", legs[u], ("*", lines.pop(ab), legs[v]))
+            alive.remove(v)
+        if len(alive) == 2:
+            (a, b), K = lines.popitem()
+            return out * dot(spectrum(legs[a]), spectrum(K), spectrum(legs[b]))
+        a, b, c = alive
+        A, B, D = (real(legs[v]) for v in alive)
+        Kab, Kac, Kbc = real(lines[a, b]), real(lines[a, c]), spectrum(lines[b, c])
+        loop = 0.0
+        for y in np.ndindex(spec.shape):
+            loop += A[y] * dot(np.fft.fftn(B * np.roll(Kab, y, axes)), Kbc,
+                               np.fft.fftn(D * np.roll(Kac, y, axes)))
+        return out * ad * loop
+
+    return value
 
 
-def _require_plans(families, n_sites: int) -> bool:
-    """Refuse a sum over the (n, p, r) families before the dense matrix is
-    built when a step of their plans would make over MAX_TENSOR_ENTRIES;
-    else say whether any of their plans reads the dense matrix."""
-    lines = False
-    for n, p, r in families:
-        peak, has_line = _family_reach(n, p, r, n_sites)
-        if peak > MAX_TENSOR_ENTRIES:
-            raise InfeasibleSizeError(f"the ({n},{p},{r}) graphs on {n_sites} sites contract "
-                                      f"through {peak} entries, over MAX_TENSOR_ENTRIES = "
-                                      f"{MAX_TENSOR_ENTRIES}")
-        lines = lines or has_line
-    return lines
-
-
-def _family_poly(n, p, r, spec, M, c0, f_arr, mu_poly, jmax):
-    """Sum over connected (n,p,r) matchings of integrated values, as a lambda
-    poly; M is the dense covariance (None if no plan has a line), c0 = C(0)."""
-    table = _topology_table(n, p, r)
-    if not table:
-        return None
-    sign = (-1.0) ** (n + p + r)
-    norm = math.factorial(n) * math.factorial(p) * math.factorial(r)
-    base = np.zeros(jmax + 1)
-    base[0] = sign / norm
-    base = _poly_shift(base, n, jmax)
-    for _ in range(p):
-        base = _poly_mul(base, mu_poly, jmax)
-    if not base.any():
-        return None
-    weight = spec.a ** (spec.d * (n + p + r))
-    S = 0.0
-    for raw_lines, kinds, count in table:
-        S += count * _einsum_sum(raw_lines, kinds, M, c0, f_arr, spec.n_sites)
-    return base * (S * weight)
+def _connected_density(kernel: PropagatorKernel, s, mu_poly: np.ndarray,
+                       order: int) -> np.ndarray:
+    """The connected part of log E[exp(-a^d sum_x (lambda (phi + s)^4
+    + mu (phi + s)^2))] per volume, mu = mu_poly(lambda), as a lambda
+    polynomial through ``order``: the joined patterns of n quartic and p
+    mass one-vertex copies, weighted (-1)^(n+p) lambda^n mu^p / (n! p!).
+    Without a shift (s None) only the full pairings count."""
+    _check_order(order)
+    spec = kernel.spec
+    value = _pattern_sums(kernel, s)
+    total = np.zeros(order + 1)
+    for n in range(order + 1):
+        for p in range(order + 1 - n):
+            base = np.zeros(order + 1)
+            base[n] = (-1.0) ** (n + p) / (math.factorial(n) * math.factorial(p))
+            for _ in range(p):
+                base = _poly_mul(base, mu_poly, order)
+            if not (n + p and base.any()):
+                continue
+            total += base * sum(w * value(factors, r) for factors, r, w
+                                in _joined_patterns(((4,),) * n + ((2,),) * p)
+                                if s is not None or not any(r))
+    return total / (spec.n_sites * spec.a ** spec.d)
 
 
 # --- counterterms ------------------------------------------------------------
@@ -600,22 +515,13 @@ def vacuum_density_poly(spec: LatticeSpec, kernel: PropagatorKernel,
                         mu_poly: np.ndarray, order: int) -> np.ndarray:
     """Connected vacuum-graph density as a lambda polynomial through ``order``.
 
-    This is the full sum over connected matchings with no external legs, the
-    quadratic counterterm installed as a polynomial insertion, divided by the
-    volume.  The constant counterterm is fixed as nu = (this polynomial), so
-    that the vacuum part of the log Z series cancels identically through the
-    same order.
+    This is the series engine without a shift: the full pairings of the
+    quartic and mass copies, the quadratic counterterm installed as a
+    polynomial insertion, divided by the volume.  The constant counterterm
+    is fixed as nu = (this polynomial), so that the vacuum part of the log Z
+    series cancels identically through the same order.
     """
-    total = np.zeros(order + 1)
-    vol = spec.n_sites * spec.a ** spec.d
-    families = [(n, p, 0) for n in range(order + 1) for p in range(order + 1 - n) if n + p]
-    M = _shared_matrix(kernel) if _require_plans(families, spec.n_sites) else None
-    c0, zeros = kernel.at_zero, np.zeros(spec.n_sites)
-    for n, p, r in families:
-        part = _family_poly(n, p, r, spec, M, c0, zeros, mu_poly, order)
-        if part is not None:
-            total += part
-    return total / vol
+    return _connected_density(kernel, None, mu_poly, order)
 
 
 def counterterms(spec: LatticeSpec, lam: float, nu_order: int | None = None) -> Counterterms:
@@ -623,9 +529,8 @@ def counterterms(spec: LatticeSpec, lam: float, nu_order: int | None = None) -> 
     cutoff covariance C^(<=N).
 
     nu is computed by the executable cancellation criterion (vacuum graphs
-    cancel in the log Z series) through ``nu_order`` in lambda; pass
-    nu_order=0 to skip the (enumeration-heavy) nu computation on large
-    lattices where only mu is needed.
+    cancel in the log Z series) through ``nu_order`` in lambda; nu_order=0
+    skips it where only mu is needed.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -645,11 +550,6 @@ def counterterms(spec: LatticeSpec, lam: float, nu_order: int | None = None) -> 
 
 # --- renormalized chain ------------------------------------------------------
 
-def _convolve(spec: LatticeSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Periodic convolution (A * B)(t) = sum_x A(x) B(t - x) a^d."""
-    return np.fft.ifftn(np.fft.fftn(A) * np.fft.fftn(B)).real * spec.a ** spec.d
-
-
 def renormalized_chain_value(kernel: PropagatorKernel, alpha, beta,
                              subtract: bool = True) -> float:
     """Subtracted second-order chain sum_{x,eta} C_ax C_xeta^3 (C_eta b - C_x b).
@@ -663,12 +563,13 @@ def renormalized_chain_value(kernel: PropagatorKernel, alpha, beta,
         raise ValueError("renormalized chain subtraction applies only in d=3")
     Co = kernel.values
     C3 = Co ** 3
-    chain = _convolve(spec, Co, _convolve(spec, C3, Co))
+    fo = np.fft.fftn(Co)
+    chain = _convolve(spec, fo, np.fft.fftn(_convolve(spec, np.fft.fftn(C3), fo)))
     t = tuple((b - a_) % spec.n_side for a_, b in zip(alpha, beta))
     if not subtract:
         return float(chain[t])
     S3 = float(np.sum(C3)) * spec.a ** spec.d
-    local = _convolve(spec, Co, Co)
+    local = _convolve(spec, fo, fo)
     return float(chain[t] - S3 * local[t])
 
 
@@ -738,9 +639,11 @@ def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
                 cts: Counterterms | None = None) -> SeriesResult:
     """Renormalized series for (1/|Lambda|) log Z_N(f) through order j in lambda.
 
-    All connected graphs over coupling, mass and external elements are summed
-    with the counterterm polynomial installed; the constant counterterm enters
-    as the order-matched negative of the connected vacuum density, so vacuum
+    The source enters as a shift of the field, s = -a^d C f: log Z(f)/Z(0)
+    is 1/2 a^(2d) f.C.f at order 0 plus the connected patterns of the quartic
+    and mass copies with every free leg reading s, the counterterm
+    polynomial installed; the constant counterterm enters as the
+    order-matched negative of the connected vacuum density, so vacuum
     contributions cancel identically.  An alternative kernel (for instance a
     difference propagator) may be supplied; the counterterms always refer to
     the full cutoff-N propagator of the spec.
@@ -750,18 +653,10 @@ def logZ_series(spec: LatticeSpec, lam: float, f, j: int,
     if cts is None:
         cts = counterterms(spec, lam, nu_order=j if j > 0 else 0)
     f_arr = spec.source(f)
-    vol = spec.n_sites * spec.a ** spec.d
-    coeffs = np.zeros(j + 1)
-    # external legs carry the source: none without one
-    legs = range(0, 5, 2) if np.any(f_arr) else (0,)
-    families = [(n, p, r) for n in range(j + 1) for p in range(j + 1 - n) for r in legs
-                if n + p + r]
-    M = _shared_matrix(kernel) if _require_plans(families, spec.n_sites) else None
-    c0 = kernel.at_zero
-    for n, p, r in families:
-        part = _family_poly(n, p, r, spec, M, c0, f_arr, cts.mu_poly, j)
-        if part is not None:
-            coeffs += part / vol
+    s = -kernel.smear(f_arr) if np.any(f_arr) else None
+    coeffs = _connected_density(kernel, s, cts.mu_poly, j)
+    if s is not None:  # 1/2 a^(2d) f.C.f = -1/2 a^d f.s, over the volume n_sites a^d
+        coeffs[0] -= 0.5 * float(f_arr @ s) / spec.n_sites
     # constant counterterm: V carries -nu per unit volume
     for k in range(min(len(cts.nu_poly), j + 1)):
         coeffs[k] -= cts.nu_poly[k]

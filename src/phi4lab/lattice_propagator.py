@@ -23,7 +23,8 @@ The cumulative covariance C^(<=h) is the range (0, h], the band C^(h) is
 
 ``scale_range_kernel`` is memoized per (spec, lo, hi) in one bounded LRU
 cache, so each kernel is built once per process; its arrays are read-only.
-The engines read C(0) from ``at_zero`` and the dense matrix, only for a line
+``smear`` applies a^d C to a source by FFT.  The recursion and the per-graph
+oracle read C(0) from ``at_zero`` and the dense matrix, only for a line
 between two vertices, through ``_shared_matrix``: a kernel of up to 1024
 sites keeps its read-only matrix (8 MiB at most) for as long as it lives.
 """
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 MAX_MATRIX_SITES = 2 ** 14  # the largest dense matrix(): 2 GiB of float64
-MAX_TENSOR_ENTRIES = 50_000_000  # the largest recursion block or graph contraction step
+MAX_TENSOR_ENTRIES = 50_000_000  # the largest recursion block or MC array
 
 
 class InfeasibleSizeError(ValueError):
@@ -194,6 +195,13 @@ class PropagatorKernel:
     @property
     def at_zero(self) -> float:
         return float(self.values[(0,) * self.spec.d])
+
+    def smear(self, f) -> np.ndarray:
+        """a^d (C f) as a flat array over the sites, for a source f over them,
+        by FFT: C is circulant with the mode weights as its spectrum, so no
+        dense matrix is built."""
+        f = np.asarray(f, dtype=float).reshape(self.spec.shape)
+        return np.fft.ifftn(self.mode_weights * np.fft.fftn(f)).real.ravel()
 
     def matrix(self) -> np.ndarray:
         """Dense site-by-site covariance matrix C[x, y] = values[x - y].

@@ -366,13 +366,6 @@ def stability_envelope(cfg: ExperimentConfig, N_range) -> dict:
             "inside": spread <= 2 * envelope if reports else True}
 
 
-def _smeared_source(spec: LatticeSpec, f: np.ndarray) -> np.ndarray:
-    """a^d (C f) for C = C^(<=N), by FFT: C is circulant, with the mode weights
-    as its spectrum, so no dense matrix is built."""
-    weights = covariance_cumulative(spec, spec.N).mode_weights
-    return np.fft.ifftn(weights * np.fft.fftn(f.reshape(spec.shape))).real.ravel()
-
-
 def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5) -> dict:
     """Fourth cumulant of the source coupling via a 5-point stencil.
 
@@ -392,7 +385,7 @@ def nongaussianity(cfg: ExperimentConfig, delta: float = 0.5) -> dict:
     terms = _log_ratio_terms(cfg, cts, stencil)
     kappa4 = sum(c * terms[t][0] for t, c in stencil.items()) / delta ** 4
     kappa4_error = _pair_error(sum(c * terms[t][1] for t, c in stencil.items())) / delta ** 4
-    conv = _smeared_source(spec, cfg.f_array)
+    conv = covariance_cumulative(spec, spec.N).smear(cfg.f_array)
     prediction = -math.factorial(4) * cfg.lam * spec.a ** spec.d * float(np.sum(conv ** 4))
     return {"kappa4": float(kappa4), "kappa4_error": kappa4_error, "prediction": prediction,
             "relative_gap": (abs(kappa4 - prediction) / abs(prediction)

@@ -224,24 +224,24 @@ class TestSubcommands:
 # allocation, a configuration error exits 2, and the largest accepted
 # neighbours of the refused runs finish
 BOUNDARY = [
-    # 32768 sites: an order-2 graph contracts through 32768^2 entries
-    (["graphs", "--dim", "3", "--cutoff", "5", "--order", "2"], 3),
     (["stability", "--dim", "3", "--cutoff", "5"], 3),
     (["rgflow", "--dim", "3", "--cutoff", "5", "--order", "2"], 3),  # 32768^2 block entries
     (["rgflow", "--dim", "3", "--cutoff", "3", "--order", "3"], 3),  # 512^3 block entries
     (["graphs", "--order", "4"], 3),  # MAX_ORDER
-    # 128^2 sites: an order-2 or order-3 graph contracts through 16384^2 entries
-    (["graphs", "--dim", "2", "--cutoff", "7", "--order", "2"], 3),
-    (["graphs", "--dim", "2", "--cutoff", "7", "--order", "3"], 3),
     (["rgflow", "--order", "4"], 3),
     (["stability", "--dim", "3", "--box", "2"], 3),  # a 32 x 4^63-node calibration grid
     (["stability", "--cutoff", "7"], 3),  # MC on 16384 sites: a 16384^2 mode basis
     (["propagator", "--cutoff", "1"], 2),  # too few displacement classes to fit
     (["propagator", "--box", "0.7"], 2),
     (["graphs", "--dim", "3", "--cutoff", "4"], 0),
-    # order 1 without a source reads C(0) only: no dense matrix on 16384 or 32768 sites
+    # the source-free series sums translation-reduced patterns by FFT: no
+    # dense matrix on 16384 or 32768 sites at any order
     (["graphs", "--dim", "2", "--cutoff", "7"], 0),
+    (["graphs", "--dim", "2", "--cutoff", "7", "--order", "2"], 0),
+    (["graphs", "--dim", "2", "--cutoff", "7", "--order", "3"], 0),
     (["graphs", "--dim", "3", "--cutoff", "5"], 0),
+    (["graphs", "--dim", "3", "--cutoff", "5", "--order", "2"], 0),
+    (["graphs", "--dim", "3", "--cutoff", "5", "--order", "3"], 0),
     (["rgflow", "--dim", "3", "--cutoff", "3", "--order", "2"], 0),
     (["rgflow", "--dim", "3", "--cutoff", "4", "--order", "1"], 0),
     # order-1 rgflow reports local couplings only: no d = 3 pair matrix on 32768 sites

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -20,10 +21,8 @@ from phi4lab import feynman_graphs
 from phi4lab.feynman_graphs import (
     FeynmanGraph,
     _canonical_lines,
-    _contraction_plan,
-    _einsum_sum,
     _elements,
-    _topology_table,
+    _joined_patterns,
     aggregate_topologies,
     enumerate_matchings,
     integrated_value,
@@ -35,6 +34,8 @@ from phi4lab.lattice_propagator import MAX_MATRIX_SITES, InfeasibleSizeError, Pr
 
 
 SPEC = LatticeSpec(d=2, L=1.0, m=1.0, gamma=math.sqrt(2), N=2)
+REF = LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2)  # 4 sites
+CUBE = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=1)  # 8 sites
 KERNEL = covariance_cumulative(SPEC, 2)
 M = KERNEL.matrix()
 
@@ -211,6 +212,62 @@ class TestSeriesOracles:
         assert np.allclose(with_zero_f.coefficients, without.coefficients)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite_grid(spec, g):
+    """Nodes phi (one row per node) and weights of the isotropic g-point
+    Gauss-Hermite rule over the eigenbasis of the cutoff covariance: exact
+    for polynomials in phi of degree up to 2 g - 1."""
+    evals, basis = np.linalg.eigh(covariance_cumulative(spec, spec.N).matrix())
+    x, wx = np.polynomial.hermite_e.hermegauss(g)
+    nodes = np.array(list(itertools.product(x, repeat=spec.n_sites)))
+    weights = np.prod(np.array(list(itertools.product(wx / math.sqrt(2 * math.pi),
+                                                      repeat=spec.n_sites))), axis=1)
+    return nodes * np.sqrt(evals) @ basis.T, weights
+
+
+def _exact_moment_series(spec, cts, f, j, g):
+    """(1/|Lambda|) log Z(f)/Z(0) per lambda-order through j: on the grid, the
+    lambda-series of exp(U(phi + s)) with s = -a^d C f and
+    U = -a^d sum_x (lambda phi^4 + mu(lambda) phi^2 + nu(lambda)), averaged,
+    its logarithm taken as a series, plus 1/2 a^(2d) f.C.f at order 0."""
+    C = covariance_cumulative(spec, spec.N).matrix()
+    w, f = spec.a ** spec.d, np.asarray(f, dtype=float)
+    phi, weights = _gauss_hermite_grid(spec, g)
+    phi = phi - w * C @ f
+    q2, q4 = np.sum(phi ** 2, axis=1), np.sum(phi ** 4, axis=1)
+    U = np.zeros((j + 1, len(phi)))  # U = sum_k U[k] lambda^k, U[0] = 0
+    U[1] -= w * q4
+    for k in range(1, j + 1):
+        U[k] -= w * (cts.mu_poly[k] * q2 if k < len(cts.mu_poly) else 0.0)
+        U[k] -= w * spec.n_sites * (cts.nu_poly[k] if k < len(cts.nu_poly) else 0.0)
+    E = [np.ones(len(phi))]  # exp(U) = sum_k E[k] lambda^k
+    for k in range(1, j + 1):
+        E.append(sum(i * U[i] * E[k - i] for i in range(1, k + 1)) / k)
+    moments = [float(weights @ e) for e in E]
+    logs = [0.5 * w * w * float(f @ C @ f)]
+    for k in range(1, j + 1):
+        logs.append(moments[k] - sum(i * logs[i] * moments[k - i] for i in range(1, k)) / k)
+    return np.array(logs) / (spec.n_sites * w)
+
+
+MOMENT_CASES = ([("ref", (0.6, -0.4, 0.2, 0.5), j) for j in (1, 2, 3)]
+                + [("ref", "uniform", j) for j in (1, 2, 3)]
+                + [("cube", "uniform", j) for j in (1, 2)])
+
+
+class TestExactMoments:
+    @pytest.mark.parametrize("lattice,source,j", MOMENT_CASES)
+    def test_sourced_series_matches_gauss_hermite_moments(self, lattice, source, j):
+        # 7 nodes per mode integrate degree 13 >= 4j on 4 sites, 5 degree 9 on 8
+        spec, g = (REF, 7) if lattice == "ref" else (CUBE, 5)
+        f = (np.random.default_rng(1).uniform(-1.0, 1.0, spec.n_sites)
+             if source == "uniform" else np.array(source))
+        cts = counterterms(spec, 0.05, nu_order=j)
+        want = _exact_moment_series(spec, cts, f, j, g)
+        got = logZ_series(spec, 0.05, f, j, cts=cts).coefficients
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 class TestChainSubtraction:
     def test_subtracted_chain_is_smaller_in_d3(self):
         s3 = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)
@@ -302,177 +359,72 @@ class TestMemoSafety:
                 + _hex(logZ_series(SPEC, 0.05, None, 2, kernel=kernel, cts=cts).coefficients))
 
     def test_repeated_call_is_bit_identical(self):
-        _topology_table.cache_clear()
+        _joined_patterns.cache_clear()
         first = self._numbers()
-        assert _topology_table.cache_info().currsize > 0
+        assert _joined_patterns.cache_info().currsize > 0
         assert self._numbers() == first
 
     def test_cache_does_not_key_on_the_kernel(self):
         diff = difference_kernel(SPEC, 1)
-        _topology_table.cache_clear()
+        _joined_patterns.cache_clear()
         cold = self._numbers(kernel=diff)
-        _topology_table.cache_clear()
+        _joined_patterns.cache_clear()
         self._numbers()
         assert self._numbers(kernel=diff) == cold
 
-    def test_memo_multiplicities_count_connected_matchings(self):
-        # every series family (n + p <= 3, r <= 4) with at most 12 half-lines
-        families = [(n, p, r) for n in range(4) for p in range(4 - n) for r in (0, 2, 4)
-                    if n + p + r > 0 and 4 * n + 2 * p + r <= 12]
-        assert len(families) == 26
-        for n, p, r in families:
-            got = {_canonical_lines(raw, kinds): count
-                   for raw, kinds, count in _topology_table(n, p, r)}
-            want = {_canonical_lines(raw, tuple(e.kind for e in g.elements)): count
-                    for g, raw, count in aggregate_topologies(enumerate_connected(n, p, r))}
-            assert got == want, (n, p, r)
 
-    def test_memo_table_is_immutable(self):
-        def only_tuples(obj):
-            if isinstance(obj, tuple):
-                return all(only_tuples(x) for x in obj)
-            return isinstance(obj, (int, str))
-        table = _topology_table(2, 0, 2)
-        assert isinstance(table, tuple) and table
-        assert all(only_tuples(entry) for entry in table)
+# every (n, p, r) with n + p >= 1 and at most 12 half-lines, and (2,0,6)
+COUNT_FAMILIES = [(n, p, r) for n in range(4) for p in range(7) for r in range(0, 13, 2)
+                  if n + p and 4 * n + 2 * p + r <= 12] + [(2, 0, 6)]
 
 
-
-def _oracle_einsum_sum(lines, element_kinds, M, f, n_sites):
-    """The per-call contraction: subscripts built and the path searched anew
-    by np.einsum(optimize=True) on every call."""
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    operands, subs = [], []
-    used = set()
-    c0 = None
-    for u, v in lines:
-        used.update((u, v))
-        if u == v:
-            if c0 is None:
-                c0 = np.full(n_sites, M[0, 0])
-            operands.append(c0)
-            subs.append(letters[u])
-        else:
-            operands.append(M)
-            subs.append(letters[u] + letters[v])
-    for v, kind in enumerate(element_kinds):
-        if kind == "external":
-            operands.append(f)
-            subs.append(letters[v])
-            used.add(v)
-    free = sum(1 for v in range(len(element_kinds)) if v not in used)
-    if not operands:
-        return float(n_sites ** free)
-    total = np.einsum(",".join(subs) + "->", *operands, optimize=True)
-    return float(total) * n_sites ** free
+def test_pattern_weights_count_connected_matchings():
+    # the r external legs of a connected (n, p, r) matching sit on the free
+    # legs of one joined pattern of n quartic and p mass copies, in r! orders
+    assert len(COUNT_FAMILIES) == 44
+    nonzero = 0
+    for n, p, r in COUNT_FAMILIES:
+        weights = sum(w for _, left, w in _joined_patterns(((4,),) * n + ((2,),) * p)
+                      if sum(left) == r)
+        count = len(enumerate_connected(n, p, r))
+        assert math.factorial(r) * weights == count, (n, p, r)
+        nonzero += count > 0
+    assert nonzero == 31
 
 
-PLAN_SPECS = [LatticeSpec(d=2, L=0.25, m=4.0, gamma=math.sqrt(2), N=2),
-              LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2),
-              LatticeSpec(d=3, L=0.25, m=4.0, gamma=math.sqrt(2), N=2),
-              LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=1),
-              LatticeSpec(d=2, L=1.0, m=1.0, gamma=3.0, N=2)]  # odd side 9
-PLAN_FAMILIES = [(n, p, r) for n in range(4) for p in range(4 - n) for r in (0, 2, 4)
-                 if n + p + r > 0]
+SERIES_SPECS = [REF,
+                LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2),
+                LatticeSpec(d=3, L=0.25, m=4.0, gamma=math.sqrt(2), N=2),
+                CUBE,
+                LatticeSpec(d=2, L=1.0, m=1.0, gamma=3.0, N=2)]  # odd side 9
 
 
-def _plan_id(spec):
+def _spec_id(spec):
     return f"d{spec.d}n{spec.n_sites}" + ("" if spec.N == 2 else f"N{spec.N}")
 
 
-def _sums_an_index(step):
-    """Whether a one-operand prep of a pair step sums an index away."""
-    return any(eq is not None and len(eq.split("->")[1]) < len(eq.split("->")[0])
-               for eq in (step.prep_a, step.prep_b))
-
-
-class TestContractionPlans:
-    @pytest.mark.parametrize("spec", PLAN_SPECS, ids=_plan_id)
-    def test_plans_match_per_call_einsum(self, spec):
-        kernel = covariance_cumulative(spec, spec.N)
-        M, c0 = kernel.matrix(), kernel.at_zero
-        f = np.random.default_rng(2).uniform(-0.5, 0.5, spec.n_sites)
-        checked = 0
-        for n, p, r in PLAN_FAMILIES:
-            for raw, kinds, _ in _topology_table(n, p, r):
-                got = _einsum_sum(raw, kinds, M, c0, f, spec.n_sites)
-                want = _oracle_einsum_sum(raw, kinds, M, f, spec.n_sites)
-                assert got.hex() == want.hex(), (n, p, r, raw)
-                checked += 1
-            if n + p > 2:
-                continue
-            # integrated_value passes a representative's unsorted lines
-            for g, _, _ in aggregate_topologies(enumerate_connected(n, p, r)):
-                kinds = tuple(e.kind for e in g.elements)
-                assert _einsum_sum(g.lines(), kinds, M, c0, f, spec.n_sites).hex() \
-                    == _oracle_einsum_sum(g.lines(), kinds, M, f, spec.n_sites).hex()
-        assert checked == 66  # every topology of the families above, 19 of them at j <= 2
-
-    def test_order_three_reaches_more_step_equations(self):
-        # the distinct einsum equations the plans contract, over every lattice
-        def equations(order):
-            return {s.eq for spec in PLAN_SPECS for n, p, r in PLAN_FAMILIES if n + p <= order
-                    for raw, kinds, _ in _topology_table(n, p, r)
-                    for s in _contraction_plan(raw, kinds, spec.n_sites)[1]}
-        assert len(equations(2)) == 18
-        assert len(equations(3)) == 43
-
-    @pytest.mark.parametrize("spec", PLAN_SPECS[:2], ids=_plan_id)
-    def test_disconnected_matchings_match_per_call_einsum(self, spec):
-        # the TestFamilyMoments path: every matching, connected or not; only
-        # a disconnected one has an index in one operand and not in the
-        # output, which a pair step's prep then sums away
-        kernel = covariance_cumulative(spec, spec.N)
-        M = kernel.matrix()
-        f = np.random.default_rng(3).uniform(-0.5, 0.5, spec.n_sites)
-        summed = {True: 0, False: 0}
-        for n, p, r in MOMENT_FAMILIES:
-            elements = _elements(n, p, r)
-            half = [(v, s) for v, el in enumerate(elements) for s in range(el.half_lines)]
-            graphs = [FeynmanGraph(elements=elements, pairing=m)
-                      for m in enumerate_matchings(half)]
-            for g, _, _ in aggregate_topologies(graphs):
-                kinds = tuple(e.kind for e in g.elements)
-                pref = (-1.0) ** (n + p + r) / (math.factorial(n) * math.factorial(p)
-                                                * math.factorial(r))
-                want = pref * _oracle_einsum_sum(g.lines(), kinds, M, f, spec.n_sites) \
-                    * spec.a ** (spec.d * len(g.elements))
-                assert integrated_value(g, kernel, f, lam=1.0, mu=1.0).hex() == want.hex()
-                steps = _contraction_plan(tuple(g.lines()), kinds, spec.n_sites)[1]
-                summed[g.connected] += any(_sums_an_index(s) for s in steps)
-        assert summed == {True: 0, False: 3}
-
+class TestSeriesEngine:
     def test_line_free_graph_counts_positions(self):
-        kinds = ("vacuum", "vacuum")
-        assert _einsum_sum((), kinds, None, None, None, SPEC.n_sites) == SPEC.n_sites ** 2
-        assert _contraction_plan((), kinds, SPEC.n_sites) == ((), (), 2)
+        graph = FeynmanGraph(elements=(feynman_graphs.GraphElement("vacuum", 0),
+                                       feynman_graphs.GraphElement("vacuum", 1)), pairing=())
+        assert integrated_value(graph, KERNEL, None, lam=1.0) \
+            == SPEC.n_sites ** 2 * SPEC.a ** (2 * SPEC.d)
 
-    def test_plan_key_holds_no_arrays(self):
-        def plain(obj):
-            if isinstance(obj, tuple):
-                return all(plain(x) for x in obj)
-            return obj is None or isinstance(obj, (bool, int, str))
-        raw, kinds, _ = _topology_table(1, 0, 2)[0]
-        plan = _contraction_plan(raw, kinds, SPEC.n_sites)
-        roles, steps, free = plan
-        assert plain(plan)
-        assert set(roles) <= {"M", "c0", "f"} and free == 0
-        assert steps and all(s.entries <= SPEC.n_sites for s in steps)
-        assert _contraction_plan.cache_info().maxsize is not None
-
-    def test_oversized_contraction_refused_before_the_matrix(self, monkeypatch):
-        # on 16 sites the order-2 vacuum families contract through 16^2
-        # entries; order 1 contracts vectors only
+    @pytest.mark.parametrize("spec", [REF, LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)],
+                             ids=_spec_id)
+    def test_series_builds_no_dense_matrix(self, spec, monkeypatch):
+        # every pattern is summed from kernel.values by convolutions and
+        # spectral dot products, up to order 3 with and without a source
         def no_matrix(kernel):
             raise AssertionError("dense matrix built")
-        spec = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2)
-        monkeypatch.setattr(feynman_graphs, "MAX_TENSOR_ENTRIES", 16)
-        cts = counterterms(spec, 0.1, nu_order=1)
+        monkeypatch.setattr(PropagatorKernel, "matrix", no_matrix)
         monkeypatch.setattr(feynman_graphs, "_shared_matrix", no_matrix)
-        with pytest.raises(InfeasibleSizeError, match="MAX_TENSOR_ENTRIES"):
-            counterterms(spec, 0.1, nu_order=2)
-        with pytest.raises(InfeasibleSizeError, match="MAX_TENSOR_ENTRIES"):
-            logZ_series(spec, 0.1, None, 2, cts=cts)
+        cts = counterterms(spec, 0.05, nu_order=3)
+        f = np.random.default_rng(6).uniform(-1.0, 1.0, spec.n_sites)
+        for j in (1, 2, 3):
+            vacuum = logZ_series(spec, 0.05, None, j, cts=cts).coefficients
+            assert np.max(np.abs(vacuum)) <= 1e-12 * np.max(np.abs(cts.nu_poly))
+            assert np.all(np.isfinite(logZ_series(spec, 0.05, f, j, cts=cts).coefficients))
 
     def test_order_one_builds_no_matrix_past_the_matrix_cap(self, monkeypatch):
         # 32^3 sites: every source-free order-1 graph and recursion block
@@ -492,7 +444,7 @@ class TestContractionPlans:
         assert np.max(np.abs(series)) <= 1e-12 * scale  # the vacuum graphs cancel
         assert np.max(np.abs(flow - series)) <= 1e-10 * scale
 
-    @pytest.mark.parametrize("spec", PLAN_SPECS, ids=_plan_id)
+    @pytest.mark.parametrize("spec", SERIES_SPECS, ids=_spec_id)
     def test_cold_equals_warm(self, spec):
         f = np.random.default_rng(4).uniform(-0.5, 0.5, spec.n_sites)
 
@@ -504,7 +456,7 @@ class TestContractionPlans:
                 for src in (None, f):
                     out += _hex(logZ_series(spec, 0.05, src, j, cts=cts).coefficients)
             return out
-        _contraction_plan.cache_clear()
+        _joined_patterns.cache_clear()
         cold = numbers()
-        assert _contraction_plan.cache_info().currsize > 0
+        assert _joined_patterns.cache_info().currsize > 0
         assert numbers() == cold

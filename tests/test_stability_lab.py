@@ -13,6 +13,7 @@ import phi4lab
 from phi4lab import (
     LatticeSpec,
     covariance_cumulative,
+    difference_kernel,
     ExperimentConfig,
     estimate_Z,
     stability_envelope,
@@ -33,7 +34,6 @@ from phi4lab.stability_lab import (
     _node_grid,
     _nodes,
     _refine_source,
-    _smeared_source,
     calibrate_Cj,
     quadrature_feasible,
     series_prediction,
@@ -493,11 +493,14 @@ class TestNonGaussianity:
             gaps.append(nongaussianity(cfg)["relative_gap"])
         assert gaps[1] < gaps[0]
 
-    @pytest.mark.parametrize("spec", [REF, LatticeSpec(d=3, L=1, m=1, gamma=2, N=3)])
-    def test_fft_source_smearing_matches_dense_product(self, spec):
+    @pytest.mark.parametrize("spec,h", [(REF, 0), (LatticeSpec(d=3, L=1, m=1, gamma=2, N=3), 0),
+                                        (LatticeSpec(d=2, L=1, m=1, gamma=2, N=3), 1)])
+    def test_fft_source_smearing_matches_dense_product(self, spec, h):
+        # h = 0 is the cutoff covariance, h = 1 the difference kernel C^(1, N]
+        kernel = difference_kernel(spec, h)
         f = np.random.default_rng(5).uniform(-1.0, 1.0, spec.n_sites)
-        dense = covariance_cumulative(spec, spec.N).matrix() @ f * spec.a ** spec.d
-        err = np.max(np.abs(_smeared_source(spec, f) - dense))
+        dense = kernel.matrix() @ f * spec.a ** spec.d
+        err = np.max(np.abs(kernel.smear(f) - dense))
         assert err <= 1e-13 * np.max(np.abs(dense))
 
     def test_stencil_guard(self):
@@ -509,13 +512,16 @@ class TestNonGaussianity:
 # float.hex of the estimator's outputs: the grid on REF at gh 16 and on CUBE
 # at gh 32, the grids' and the 16-site draws' fourth cumulant, and the CLI's
 # default MC run (1000 samples, seed 0, its source) on 16 and 64 sites with a
-# fixed C_j.  256 sites is left
+# fixed C_j; then the order-3 counterterm polynomials on REF, the sourced
+# order-2 series on REF and on 64 sites, the source-free order-2 flow
+# constant on REF and the sum of one 16-site band sample.  256 sites is left
 # out: there the eigh basis of the degenerate covariance moves with the thread
 # count.
 DIGEST_SCRIPT = """
 import math
 import numpy as np
-from phi4lab import LatticeSpec, ExperimentConfig, estimate_Z, nongaussianity
+from phi4lab import (LatticeSpec, ExperimentConfig, estimate_Z, flow_constant, logZ_series,
+                     nongaussianity, sample_layer)
 from phi4lab.feynman_graphs import counterterms
 from phi4lab.stability_lab import _log_ratios
 
@@ -544,6 +550,14 @@ for N in (2, 3):
     if N == 2:
         res = nongaussianity(cfg)
         out += [res["kappa4"], res["kappa4_error"]]
+cts = counterterms(REF, 0.05, nu_order=3)
+out += list(cts.mu_poly) + list(cts.nu_poly)
+out += list(logZ_series(REF, 0.05, F, 2, cts=cts).coefficients)
+SIXTY_FOUR = LatticeSpec(d=3, L=1.0, m=1.0, gamma=2.0, N=2)
+f = np.random.default_rng(3).uniform(-1.0, 1.0, SIXTY_FOUR.n_sites)
+out += list(logZ_series(SIXTY_FOUR, 0.05, f, 2).coefficients)
+out += list(flow_constant(REF, 0.05, None, 2, cts=cts))
+out.append(np.sum(sample_layer(LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=2), 2, 0).values))
 print(" ".join(float(v).hex() for v in out))
 """
 
@@ -558,5 +572,5 @@ def test_digests_equal_at_one_and_two_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
-    assert len(digests[0]) == 22
+    assert len(digests[0]) == 39
     assert digests[0] == digests[1]
