@@ -24,7 +24,7 @@ chain part), which makes order bookkeeping in the series exact.
 The series reads the source only as a shift of the field.  By the
 translation formula for Gaussian measures,
 
-    log Z(f)/Z(0) = 1/2 a^(2d) f.C.f + log E[exp(U(phi + s))] / E[exp(U(phi))]
+    log Z(f)/Z(0) = 1/2 a^(2d) f.C.f + log E[exp(U(phi + s))] - log E[exp(U(phi))]
 
 with s = -a^d C f and U = V at f = 0, so it sums the joined patterns of
 n quartic and p mass one-vertex copies, every free leg reading s and every
@@ -320,10 +320,12 @@ def integrated_value(G: FeynmanGraph, kernel: PropagatorKernel, f,
                      lam: float, mu: float = 0.0, nu: float = 0.0) -> float:
     """Graph value summed over all vertex positions with weight a^d per vertex.
 
-    The per-graph oracle of the series: a self-loop is the factor C(0),
-    and one np.einsum(optimize=True) call, its path searched anew on every
-    call, contracts the elementwise power C^k of the dense covariance per
-    vertex pair joined by k lines with the source per external leg."""
+    The per-graph oracle of the series, on the dense covariance C: a
+    self-loop is the factor C(0), a line between two external legs the
+    factor f.C.f, and the external legs on a vertex the vector (C f)^q.
+    One np.einsum(optimize=True) call, its path searched anew on every
+    call, contracts those vectors with the elementwise power C^k per vertex
+    pair joined by k lines."""
     spec = kernel.spec
     if len(G.elements) == 1 and G.elements[0].kind == "vacuum":
         return nu * spec.n_sites * spec.a ** spec.d
@@ -338,20 +340,24 @@ def integrated_value(G: FeynmanGraph, kernel: PropagatorKernel, f,
     n, p, r = G.n, G.p, G.r
     pref = (-1.0) ** (n + p + r) * lam ** n * mu ** p
     pref /= math.factorial(n) * math.factorial(p) * math.factorial(r)
-    operands, subs = [], []
+    external = [e.kind == "external" for e in G.elements]
+    operands, subs, legs = [], [], collections.Counter()
     for (u, v), k in collections.Counter(tuple(sorted(l)) for l in G.lines()).items():
         if u == v:
             pref *= kernel.at_zero ** k
+        elif external[u] and external[v]:
+            pref *= float(f_arr @ _shared_matrix(kernel) @ f_arr)
+        elif external[u] or external[v]:
+            legs[v if external[u] else u] += 1
         else:
             operands.append(_shared_matrix(kernel) ** k)
             subs.append(letters[u] + letters[v])
-    for v, e in enumerate(G.elements):
-        if e.kind == "external":
-            operands.append(f_arr)
-            subs.append(letters[v])
+    for u, q in legs.items():
+        operands.append((_shared_matrix(kernel) @ f_arr) ** q)
+        subs.append(letters[u])
     S = float(np.einsum(",".join(subs) + "->", *operands, optimize=True)) if operands else 1.0
-    # a vertex no operand indexes sums to n_sites
-    S *= spec.n_sites ** (len(G.elements) - len(set("".join(subs))))
+    # an internal vertex no operand indexes sums to n_sites
+    S *= spec.n_sites ** (len(G.elements) - r - len(set("".join(subs))))
     return pref * S * spec.a ** (spec.d * len(G.elements))
 
 
@@ -379,38 +385,44 @@ def _pattern_sums(kernel: PropagatorKernel, s):
     prod_(a<b) C(y_a - y_b)^k_ab, with s the field shift over the sites
     (None when no pattern has a free leg).
 
-    Arrays are named by keys: ("C", k) is C^k, ("s", r) is s^r, and
-    ("*", K, L) and ("x", K, L) the convolution and the product of two keyed
-    arrays; each key's array, spectrum and sum is made once per call, and
-    only when a pattern reads it.  A vertex without free legs is summed
-    away first: with one line it leaves that line's sum, with two their
-    convolution, a new line between its neighbours.  Of three vertices with
-    legs, a chain folds a leaf into its neighbour's weight by one
-    convolution, and a triangle loops over one vertex's positions with
-    O(n_sites) memory.  A pair left is one spectral dot product.  Every
-    kernel is even, so a line has no orientation; at most MAX_ORDER copies
-    are joined, so a vertex has at most two neighbours."""
+    Arrays are named by keys: ("C", k) is C^k, ("s", r) is s^r, ("F", K)
+    the spectrum and ("+", K) the a^d-weighted sum of a keyed array, and
+    ("*", K, L) and ("x", K, L) the convolution and the product of two;
+    each is made once per call, and only when a pattern reads it.  A vertex
+    without free legs is summed away first: with one line it leaves that
+    line's sum, with two their convolution, a new line between its
+    neighbours.  Of three vertices with legs, a chain folds a leaf into its
+    neighbour's weight by one convolution, and a triangle loops over one
+    vertex's positions with O(n_sites) memory.  A pair left is one spectral
+    dot product.  Every kernel is even, so a line has no orientation; at
+    most MAX_ORDER copies are joined, so a vertex has at most two
+    neighbours."""
     spec = kernel.spec
     ad, axes = spec.a ** spec.d, tuple(range(spec.d))
+    memo = {}
 
-    @functools.cache
     def real(key):
-        op, *args = key
-        if op == "C":
-            return kernel.values ** args[0]
-        if op == "s":
-            return s.reshape(spec.shape) ** args[0]
-        if op == "*":
-            return _convolve(spec, *map(spectrum, args))
-        return real(args[0]) * real(args[1])
+        if key not in memo:
+            op, *args = key
+            if op == "C":
+                memo[key] = kernel.values ** args[0]
+            elif op == "s":
+                memo[key] = s.reshape(spec.shape) ** args[0]
+            elif op == "F":
+                memo[key] = np.fft.fftn(real(args[0]))
+            elif op == "+":
+                memo[key] = ad * float(np.sum(real(args[0])))
+            elif op == "*":
+                memo[key] = _convolve(spec, spectrum(args[0]), spectrum(args[1]))
+            else:
+                memo[key] = real(args[0]) * real(args[1])
+        return memo[key]
 
-    @functools.cache
     def spectrum(key):
-        return np.fft.fftn(real(key))
+        return real(("F", key))
 
-    @functools.cache
     def total(key):
-        return ad * float(np.sum(real(key)))
+        return real(("+", key))
 
     def dot(A, K, B):
         """a^(2d) sum_(y,z) a(y) k(y - z) b(z) from the spectra A, K, B."""

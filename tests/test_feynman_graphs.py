@@ -250,7 +250,7 @@ def _exact_moment_series(spec, cts, f, j, g):
     return np.array(logs) / (spec.n_sites * w)
 
 
-MOMENT_CASES = ([("ref", (0.6, -0.4, 0.2, 0.5), j) for j in (1, 2, 3)]
+MOMENT_CASES = ([("ref", "fixed", j) for j in (1, 2, 3)]
                 + [("ref", "uniform", j) for j in (1, 2, 3)]
                 + [("cube", "uniform", j) for j in (1, 2)])
 
@@ -260,8 +260,8 @@ class TestExactMoments:
     def test_sourced_series_matches_gauss_hermite_moments(self, lattice, source, j):
         # 7 nodes per mode integrate degree 13 >= 4j on 4 sites, 5 degree 9 on 8
         spec, g = (REF, 7) if lattice == "ref" else (CUBE, 5)
-        f = (np.random.default_rng(1).uniform(-1.0, 1.0, spec.n_sites)
-             if source == "uniform" else np.array(source))
+        f = (np.array([0.6, -0.4, 0.2, 0.5]) if source == "fixed"
+             else np.random.default_rng(1).uniform(-1.0, 1.0, spec.n_sites))
         cts = counterterms(spec, 0.05, nu_order=j)
         want = _exact_moment_series(spec, cts, f, j, g)
         got = logZ_series(spec, 0.05, f, j, cts=cts).coefficients
