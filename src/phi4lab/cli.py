@@ -1,11 +1,12 @@
 """Command-line driver: one subcommand per workbench module.
 
 Every run writes a manifest JSON (full configuration, spec hash, versions)
-next to its artifacts so any result can be reproduced bit for bit.  Exit
-codes: 0 success, 2 configuration error, 3 infeasible-size guard, 4 failed
-``--check`` validation.  The library owns every size and order guard and
-raises InfeasibleSizeError before the large allocation; ``options`` maps it
-to exit 3 and any other ValueError to exit 2, for every subcommand.
+next to its artifacts so any result can be reproduced bit for bit, at any BLAS
+thread count (MC stability through 1024 sites).  Exit codes: 0 success, 2
+configuration error, 3 infeasible-size guard, 4 failed ``--check`` validation.
+The library owns every size and order guard and raises InfeasibleSizeError
+before the large allocation; ``options`` maps it to exit 3 and any other
+ValueError to exit 2, for every subcommand.
 """
 
 from __future__ import annotations

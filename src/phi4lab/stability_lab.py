@@ -2,7 +2,7 @@
 
 Estimates log(Z(f)/Z(0)) with one ratio estimator over mirror pairs
 {phi, -phi}, one even term each (the measure is even under phi -> -phi): the
-exact Gauss-Hermite grid over the diagonalized covariance while it fits
+exact Gauss-Hermite grid over the covariance's Hartley modes while it fits
 QUADRATURE_NODE_CAP = 32^4 nodes, half its nodes kept per (spec, gh_nodes),
 else n_samples / 2 Monte Carlo draws with a pair error.  The grid spends
 nodes by mode weight: gh_nodes on the box-scale zero mode, and
@@ -108,10 +108,9 @@ def quadrature_feasible(spec: LatticeSpec, gh_nodes: int) -> bool:
 
 @functools.lru_cache(maxsize=32)
 def _node_counts(spec: LatticeSpec, gh_nodes: int) -> tuple:
-    """Gauss-Hermite nodes per mode in _mode_basis's column order (ascending
-    weight), by rank: gh_nodes on the largest mode weight, the zero mode's,
-    min(gh_nodes, LOW_NODES) on every other.  Read from the kernel's mode
-    weights, with no eigh and no dense matrix."""
+    """Gauss-Hermite nodes per mode in _mode_basis's column order (stable
+    ascending weight), from the kernel's mode weights alone: gh_nodes on the
+    largest, the zero mode's, and min(gh_nodes, LOW_NODES) on every other."""
     weights = np.sort(covariance_cumulative(spec, spec.N).mode_weights, axis=None)
     return tuple(np.where(weights < weights[-1], min(gh_nodes, LOW_NODES), gh_nodes).tolist())
 
@@ -134,14 +133,17 @@ def _gauss_hermite(nodes: int):
 
 @functools.lru_cache(maxsize=4)
 def _mode_basis(spec: LatticeSpec):
-    """The mode basis A, phi = A y for y ~ N(0, I): the eigenvectors of the
-    dense covariance C^(<=N) scaled by the square roots of its eigenvalues.
-    Read-only and kept for the last four specs; an entry holds n_sites^2
-    floats: 512 KiB on 256 sites, at most 400 MB (MAX_TENSOR_ENTRIES, see _nodes)."""
-    M = covariance_cumulative(spec, spec.N).matrix()
-    evals, evecs = np.linalg.eigh(M)
-    evals = np.clip(evals, 0.0, None)
-    A = evecs * np.sqrt(evals)[None, :]
+    """The mode basis A, phi = A y for y ~ N(0, I): the Hartley basis of the
+    circulant C^(<=N), column p = sqrt(w_p / (n_sites a^d)) cas(2 pi (p.x mod
+    n_side) / n_side), cas = cos + sin, for the even mode weights w in the order
+    of _node_counts, the constant zero mode last; A A^T = C.  Read-only, kept for
+    the last four specs: n_sites^2 floats, 512 KiB on 256 sites, at most 400 MB."""
+    weights = covariance_cumulative(spec, spec.N).mode_weights.ravel()
+    order = np.argsort(weights, kind="stable")
+    k = np.indices(spec.shape).reshape(spec.d, -1)
+    angles = 2 * np.pi * np.arange(spec.n_side) / spec.n_side
+    A = (np.cos(angles) + np.sin(angles))[(k.T @ k[:, order]) % spec.n_side]
+    A *= np.sqrt(weights[order] / (spec.n_sites * spec.a ** spec.d))
     A.setflags(write=False)
     return A
 
@@ -288,10 +290,7 @@ def calibrate_Cj(cfg: ExperimentConfig) -> float:
     cts = counterterms(sp, LAM_CAL, nu_order=cal.j)
     quad = _log_ratios(cal, cts)[1.0][0] / (sp.n_sites * sp.a ** sp.d)
     gap = abs(quad - series_prediction(cal, cts))
-    shape = _envelope(cal, 1.0)
-    if shape <= 0:
-        return 1.0
-    return SAFETY * gap / shape
+    return SAFETY * gap / _envelope(cal, 1.0)
 
 
 def estimate_Z(cfg: ExperimentConfig, C_j: float | None = None) -> StabilityReport:

@@ -249,6 +249,9 @@ BOUNDARY = [
     (["stability"], 0),  # MC on 16 sites, C_j calibrated on 4
     (["stability", "--dim", "3", "--cutoff", "1"], 0),  # the 32 x 4^7-node grid on 8 sites
     (["stability", "--dim", "3"], 0),  # MC on 64 sites, C_j calibrated on 8
+    # MC on 4096 sites: the closed-form 4096^2 mode basis, no eigensolver
+    (["stability", "--cutoff", "6"], 0),
+    (["stability", "--dim", "3", "--cutoff", "4"], 0),
 ]
 
 

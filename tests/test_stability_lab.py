@@ -12,7 +12,9 @@ import pytest
 import phi4lab
 from phi4lab import (
     LatticeSpec,
+    PropagatorKernel,
     covariance_cumulative,
+    scale_range_kernel,
     difference_kernel,
     ExperimentConfig,
     estimate_Z,
@@ -290,6 +292,44 @@ class TestAntitheticPairs:
             A[0, 0] = 0.0
 
 
+class TestModeBasis:
+    @pytest.mark.parametrize("spec", [
+        REF, CUBE,
+        LatticeSpec(d=2, L=1, m=1, gamma=3, N=1),  # 9 sites, an odd side
+        LatticeSpec(d=3, L=1, m=1, gamma=3, N=1),  # 27 sites, an odd side
+        SIXTEEN, replace(SIXTEEN, N=4)], ids=lambda spec: f"{spec.n_sites}-sites")
+    def test_hartley_basis_diagonalizes_the_dense_covariance(self, spec):
+        # A A^T is the covariance and A^T A is diagonal, its diagonal the mode
+        # weights / a^d in ascending order up to rounding; the zero mode, the
+        # last column, is constant
+        kernel = covariance_cumulative(spec, spec.N)
+        A = _mode_basis(spec)
+        C = kernel.matrix()
+        assert np.max(np.abs(A @ A.T - C)) <= 1e-15 * np.max(np.abs(C))
+        gram = A.T @ A
+        norms = np.diag(gram)
+        assert np.max(np.abs(gram - np.diag(norms))) <= 1e-16 * np.max(norms)
+        weights = np.sort(kernel.mode_weights, axis=None) / spec.a ** spec.d
+        assert np.max(np.abs(norms - weights)) <= 1e-15 * weights[-1]
+        assert np.all(A[:, -1] == A[0, -1])
+
+    def test_stability_builds_no_matrix_and_calls_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense covariance or an eigensolver was called")
+
+        monkeypatch.setattr(PropagatorKernel, "matrix", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for cache in (scale_range_kernel, _mode_basis, _node_counts, _node_grid):
+            cache.cache_clear()
+        grid = ExperimentConfig(spec=REF, lam=0.05, f=F)
+        assert estimate_Z(grid).extras["method"] == "exact-quadrature"
+        assert nongaussianity(grid)["kappa4"] < 0
+        for N in (2, 4):  # 16 and 256 sites
+            spec = replace(SIXTEEN, N=N)
+            cfg = ExperimentConfig(spec=spec, lam=0.05, f=cli_source(spec), n_samples=1000)
+            assert estimate_Z(cfg).extras["method"] == "MC"
+
+
 def full_grid(spec, counts):
     """(weights, phi) over every node of the tensor grid with counts[k]
     Gauss-Hermite nodes on column k of _mode_basis, mirrors included, in
@@ -510,13 +550,13 @@ class TestNonGaussianity:
 
 
 # float.hex of the estimator's outputs: the grid on REF at gh 16 and on CUBE
-# at gh 32, the grids' and the 16-site draws' fourth cumulant, and the CLI's
-# default MC run (1000 samples, seed 0, its source) on 16 and 64 sites with a
-# fixed C_j; then the order-3 counterterm polynomials on REF, the sourced
-# order-2 series on REF and on 64 sites, the source-free order-2 flow
-# constant on REF and the sum of one 16-site band sample.  256 sites is left
-# out: there the eigh basis of the degenerate covariance moves with the thread
-# count.
+# at gh 32, the grids' fourth cumulant, and the CLI's default MC run (1000
+# samples, seed 0, its source) on 16, 64, 256 and 1024 sites with a fixed C_j,
+# and its fourth cumulant on each of them but 64 sites; then the order-3
+# counterterm polynomials on REF, the sourced order-2 series on REF and on 64
+# sites, the source-free order-2 flow constant on REF and the sum of one
+# 16-site band sample.  4096 sites is left out: there the threaded gemm of
+# the draws still moves the value by an ulp.
 DIGEST_SCRIPT = """
 import math
 import numpy as np
@@ -540,14 +580,14 @@ for value, error in _log_ratios(cube, counterterms(CUBE, 0.05, nu_order=1), (0.3
     out += [value, error]
 res = nongaussianity(cube)
 out += [res["kappa4"], res["kappa4_error"]]
-for N in (2, 3):
+for N in (2, 3, 4, 5):
     spec = LatticeSpec(d=2, L=1.0, m=1.0, gamma=2.0, N=N)
     f = tuple(np.random.default_rng(np.random.SeedSequence(entropy=0)).uniform(-0.5, 0.5,
                                                                                spec.n_sites))
     cfg = ExperimentConfig(spec=spec, lam=0.05, f=f, n_samples=1000)
     rep = estimate_Z(cfg, C_j=1.0)
     out += [rep.value, rep.error, rep.series_value, rep.envelope]
-    if N == 2:
+    if N != 3:
         res = nongaussianity(cfg)
         out += [res["kappa4"], res["kappa4_error"]]
 cts = counterterms(REF, 0.05, nu_order=3)
@@ -572,5 +612,5 @@ def test_digests_equal_at_one_and_two_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
-    assert len(digests[0]) == 39
+    assert len(digests[0]) == 51
     assert digests[0] == digests[1]
